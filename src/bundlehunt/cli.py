@@ -28,7 +28,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .exactalg import rat_from_str
-from .ext1 import is_hn_top, relevant_twists, connecting_map, splitting_of_extension
+from .ext1 import connecting_rank_profile, splitting_of_extension
 from .hunter import HuntRequest, hunt, verify_certificate
 from .p1 import splitting_from_transition
 from .qbundle import CechOracle, HilbertParams, cohomology_table, square_window
@@ -161,11 +161,12 @@ def _cmd_split(args) -> int:
 def _cmd_ext_classify(args) -> int:
     cocycle = serialize.cocycle_from_json(serialize.load_json_file(args.cocycle))
     s = splitting_of_extension(cocycle)
-    hn = is_hn_top(cocycle)
+    profile = connecting_rank_profile(cocycle)
+    # HN-top means every connecting map has maximal rank (ext1.is_hn_top)
+    hn = all(rank == min(rows, cols) for _, rank, rows, cols in profile)
     print(f"{s.to_list()} (HN-top: {'true' if hn else 'false'})")
-    for m in relevant_twists(cocycle):
-        c = connecting_map(cocycle, m)
-        print(f"  twist {m}: rank {c.rank()} of {c.rows}x{c.cols}")
+    for m, rank, rows, cols in profile:
+        print(f"  twist {m}: rank {rank} of {rows}x{cols}")
     return EXIT_OK
 
 

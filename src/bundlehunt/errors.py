@@ -42,8 +42,4 @@ class VerificationFailedError(BundleHuntError):
 
 
 class OracleInconclusiveError(BundleHuntError):
-    """The Cech oracle could not stabilize its truncation; never a wrong answer."""
-
-
-class TruncationError(BundleHuntError):
-    """Section-space truncation failed to stabilize."""
+    """The Cech oracle's section counts contradict the Euler characteristic; never expected."""

@@ -115,9 +115,6 @@ class LaurentPoly:
     def max_exp(self) -> Optional[int]:
         return max(self._terms) if self._terms else None
 
-    def max_abs_exp(self) -> int:
-        return max((abs(e) for e in self._terms), default=0)
-
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._terms))
 
@@ -373,9 +370,6 @@ class LaurentMatrix:
             self.variable, self.rows, self.cols, [e.shift(k) for e in self._entries]
         )
 
-    def max_abs_exp(self) -> int:
-        return max((e.max_abs_exp() for e in self._entries), default=0)
-
     def is_upper_triangular(self) -> bool:
         return all(
             self.entry(i, j).is_zero for i in range(self.rows) for j in range(min(i, self.cols))
@@ -387,20 +381,6 @@ class LaurentMatrix:
             for i in range(self.rows)
             for j in range(i + 1, self.cols)
         )
-
-    def monomial_diagonal(self) -> Optional[list[tuple[int, Fraction]]]:
-        """For a triangular matrix with single-term diagonal, the (exp, coeff) list."""
-        if self.rows != self.cols:
-            return None
-        if not (self.is_upper_triangular() or self.is_lower_triangular()):
-            return None
-        diag = []
-        for i in range(self.rows):
-            items = self.entry(i, i).terms()
-            if len(items) != 1:
-                return None
-            diag.append(items[0])
-        return diag
 
     def evaluate(self, t: Fraction) -> list[list[Fraction]]:
         return [[self.entry(i, j).evaluate(t) for j in range(self.cols)] for i in range(self.rows)]

@@ -2,8 +2,8 @@
 
 Splitting types, cohomology of twists, and two routes back to the splitting
 type: from an h^0 profile (greedy peel of the top summand) and from an
-explicit Laurent transition matrix (truncated section solving plus the
-determinant order for the degree).
+explicit Laurent transition matrix (section solving at a proven truncation
+degree plus the determinant order for the degree).
 
 Chart convention, fixed here once and inherited everywhere: U+ carries
 polynomials in z, U- polynomials in 1/z, a section is a pair (s-, s+) with
@@ -17,7 +17,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional
 
 from . import kernels
-from .errors import DimensionError, NotABundleError, ProfileError, TruncationError
+from .errors import DimensionError, NotABundleError, ProfileError
 from .exactalg import LaurentMatrix, det_unit_order
 
 
@@ -205,18 +205,16 @@ def splitting_from_h0_profile(
         else:
             raise ProfileError("no vanishing point found; profile never vanishes")
 
+    # every component is at most top = -lo - 1, hence at least
+    # degree - (rank - 1) * top, so an honest residual is positive from
+    # twist (rank - 1) * top - degree on
+    sure = max((rank - 1) * (-lo - 1) - degree, lo + 1)
     while remaining > 0:
-        # the residual of an honest profile becomes positive eventually;
-        # grow the probe point until it does (components can sit far below
-        # the degree-based starting guess)
-        step = 1
-        for _ in range(70):
-            if hi > lo and resid(hi) > 0:
-                break
-            hi += step
-            step *= 2
-        else:
-            raise ProfileError("profile vanishes where remaining rank forces sections")
+        # the degree-based guess usually suffices; components can sit below it
+        if hi <= lo or resid(hi) == 0:
+            hi = max(sure, lo + 1)
+            if resid(hi) == 0:
+                raise ProfileError("profile vanishes where remaining rank forces sections")
         m_first = _first_positive(resid, lo, hi)
         n_top = -m_first
         mult = resid(m_first)
@@ -241,21 +239,30 @@ def splitting_from_h0_profile(
     return result
 
 
-def _triangular_top_component(gamma: LaurentMatrix) -> Optional[int]:
-    """Largest splitting component bound for triangular monomial-diagonal input.
+def _section_degree_bound(gamma: LaurentMatrix, k: int) -> int:
+    """M with deg s+ <= m + M for every section of the twist by O(m).
 
-    An upper or lower triangular transition matrix filters the bundle by line
-    bundles O(c_i) with c_i = -(diagonal exponent); every splitting component
-    then lies in [min c_i, max c_i].
+    A section has s+ = z^m * gamma^-1 * s- with s- free of positive exponents,
+    and gamma^-1 = adj(gamma) / (c * z^k) for det(gamma) = c * z^k.  The
+    cofactor omitting row i has exponents at most the sum of the other rows'
+    largest exponents.  So h^0 vanishes below twist -M: M bounds the top
+    splitting component.
     """
-    diag = gamma.monomial_diagonal()
-    if diag is None:
-        return None
-    return max(-e for e, _ in diag)
+    rowmax = [
+        max(e.max_exp() for e in gamma.row(i) if not e.is_zero) for i in range(gamma.rows)
+    ]
+    return sum(rowmax) - min(rowmax) - k
 
 
-def _section_dim_truncated(gamma: LaurentMatrix, m: int, deg_cap: int) -> int:
-    """Dimension of {s+ in Q[z]^r, deg <= cap : gamma * z^-m * s+ has exponents <= 0}."""
+def _h0_sections(gamma: LaurentMatrix, m: int, bound: int) -> int:
+    """Dimension of {s+ in Q[z]^r : gamma * z^-m * s+ has exponents <= 0}.
+
+    Every section has degree <= m + bound (see _section_degree_bound), so one
+    elimination at that truncation degree is exact.
+    """
+    deg_cap = m + bound
+    if deg_cap < 0:
+        return 0
     r = gamma.rows
     ncols = r * (deg_cap + 1)
     rows: dict[tuple[int, int], dict[int, object]] = {}
@@ -284,52 +291,34 @@ def _section_dim_truncated(gamma: LaurentMatrix, m: int, deg_cap: int) -> int:
     return ncols - kernels.rank_rows(int_rows, ncols)
 
 
-def _h0_sections(gamma: LaurentMatrix, m: int) -> int:
-    """Stabilized truncated section count; assumes the determinant is a unit."""
-    r = gamma.rows
-    if r == 0:
-        return 0
-    top = _triangular_top_component(gamma)
-    if top is not None:
-        # rigorous: section degrees are bounded by top component + m
-        deg_cap = max(top + m, 0) + 1
-    else:
-        deg_cap = r * gamma.max_abs_exp() + abs(m) + 1
-    prev = _section_dim_truncated(gamma, m, deg_cap)
-    for _ in range(24):
-        deg_cap *= 2
-        cur = _section_dim_truncated(gamma, m, deg_cap)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise TruncationError(f"section dimension did not stabilize (twist {m})")
+def _unit_order(gamma: LaurentMatrix) -> int:
+    """k with det(gamma) = c * z^k; raises when the determinant is not a unit."""
+    if gamma.rows != gamma.cols:
+        raise DimensionError("transition matrix must be square")
+    unit = det_unit_order(gamma)
+    if unit is None:
+        raise NotABundleError("determinant is not a unit of the Laurent ring")
+    return unit[0]
 
 
 def h0_from_transition(gamma: LaurentMatrix, m: int) -> int:
     """h^0 of the twist by O(m) of the bundle glued by gamma."""
-    if gamma.rows != gamma.cols:
-        raise DimensionError("transition matrix must be square")
-    if gamma.rows and det_unit_order(gamma) is None:
-        raise NotABundleError("determinant is not a unit of the Laurent ring")
-    return _h0_sections(gamma, m)
+    k = _unit_order(gamma)
+    if gamma.rows == 0:
+        return 0
+    return _h0_sections(gamma, m, _section_degree_bound(gamma, k))
 
 
 def splitting_from_transition(gamma: LaurentMatrix) -> SplittingType:
     """Splitting type of the bundle glued by gamma.
 
     Rank is the matrix size, degree is minus the determinant order, and the
-    components come from peeling the h^0 profile.
+    components come from peeling the h^0 profile, whose top component is at
+    most the proven section degree bound.
     """
-    if gamma.rows != gamma.cols:
-        raise DimensionError("transition matrix must be square")
+    k = _unit_order(gamma)
     if gamma.rows == 0:
         return SplittingType(())
-    unit = det_unit_order(gamma)
-    if unit is None:
-        raise NotABundleError("determinant is not a unit of the Laurent ring")
-    degree = -unit[0]
-    top = _triangular_top_component(gamma)
-    profile = H0Profile(lambda m: _h0_sections(gamma, m))
-    return splitting_from_h0_profile(
-        profile, gamma.rows, degree, top_bound=top
-    )
+    bound = _section_degree_bound(gamma, k)
+    profile = H0Profile(lambda m: _h0_sections(gamma, m, bound))
+    return splitting_from_h0_profile(profile, gamma.rows, -k, top_bound=bound)

@@ -494,12 +494,22 @@ def check_natural(table: CohomologyTable, params: HilbertParams) -> NaturalRepor
 
 
 class CechOracle:
-    """Direct bidegree-truncated section solving on the four-chart cover.
+    """Direct bigraded section solving on the four-chart cover.
 
     h^0 is the dimension of polynomial solutions of the two gluing
     constraints; h^2 comes from the dual bundle (inverse-transpose
     transitions) by Serre duality, and h^1 closes the Euler characteristic.
     The pushforward machinery is never consulted.
+
+    Each side is solved once, at degree caps that hold every section:
+
+    * z: the z-transitions are diagonal, so component j of a section of the
+      twist by n has z-degree <= n - zexp_j; the slice basis is exact.
+    * w: a section has s+ = w^m * A^-1 * s- with s- free of positive
+      w-exponents, and A^-1 is the transpose of the other side's grid, so
+      the w-degree is <= m + (largest w-exponent of the other side's grid).
+
+    A negative cap means h^0 = 0 with no elimination.
     """
 
     def __init__(self, desc: ConstantBundleDesc):
@@ -511,7 +521,11 @@ class CechOracle:
         self._z_dual = [0] * r1 + [-1] * r2
         self._w_primal = self._primal_w()
         self._w_dual = self._dual_w()
-        self._basis_cache: dict = {}
+        # largest w-exponent of each side's inverse transition A^-1
+        self._w_inverse_top = {
+            "primal": _max_w_exp(self._w_dual),
+            "dual": _max_w_exp(self._w_primal),
+        }
 
     # -- transition data -----------------------------------------------------
 
@@ -553,46 +567,20 @@ class CechOracle:
                     cell[key] = cell.get(key, Fraction(0)) - c
         return grid
 
-    # -- stage A: z-slice section basis ---------------------------------------
+    # -- sections of one side --------------------------------------------------
 
-    def _slice_basis(self, side: str, n_tw: int, dz: int):
-        """Basis of {v in Q[z]^size, deg <= dz : T(z) z^-n v has exponents <= 0}."""
-        key = (side, n_tw, dz)
-        basis = self._basis_cache.get(key)
-        if basis is not None:
-            return basis
+    def _side_h0(self, side: str, n_tw: int, m_tw: int) -> int:
+        """h^0 of one side's bundle twisted by (n_tw, m_tw): one elimination."""
         zexps = self._z_primal if side == "primal" else self._z_dual
-        size = self.size
-        ncols = size * (dz + 1)
-        rows = {}
-        for j in range(size):
-            base = zexps[j] - n_tw
-            for k in range(dz + 1):
-                e = base + k
-                if e >= 1:
-                    rows.setdefault(e * size + j, []).append((k * size + j, 1))
-        # diagonal z-transitions give one constraint per (entry, exponent)
-        mat_rows = [
-            (sorted(c for c, _ in row), [v for _, v in sorted(row)]) for row in rows.values()
-        ]
-        pivots = kernels.echelon(mat_rows, ncols)
-        piv_set = {cols[0] for cols, _ in pivots}
-        basis = []
-        for col in range(ncols):
-            if col in piv_set:
-                continue
-            k, j = divmod(col, size)
-            basis.append((j, k))  # monomial z^k in component j survives
-        self._basis_cache[key] = basis
-        return basis
-
-    # -- stage B: w-direction constraints --------------------------------------
-
-    def _h0_at(self, side: str, n_tw: int, m_tw: int, dz: int, dw: int) -> int:
-        basis = self._slice_basis(side, n_tw, dz)
-        nb = len(basis)
-        if nb == 0:
+        dz = n_tw - min(zexps)
+        dw = m_tw + self._w_inverse_top[side]
+        if dz < 0 or dw < 0:
             return 0
+        # z-slice basis: monomial z^k in component j, k <= n_tw - zexp_j
+        basis = [
+            (j, k) for k in range(dz + 1) for j in range(self.size) if k <= n_tw - zexps[j]
+        ]
+        nb = len(basis)
         grid = self._w_primal if side == "primal" else self._w_dual
         rows: dict = {}
         for beta, (j, k) in enumerate(basis):
@@ -619,39 +607,23 @@ class CechOracle:
         ncols = nb * (dw + 1)
         return ncols - kernels.rank_rows(int_rows, ncols)
 
-    def _stable_h0(self, side: str, n_tw: int, m_tw: int) -> int:
-        grid = self._w_primal if side == "primal" else self._w_dual
-        max_w = 0
-        for row in grid:
-            for cell in row:
-                for _, ew in cell:
-                    max_w = max(max_w, abs(ew))
-        r = self.size
-        dz = r * 1 + abs(n_tw) + 1
-        dw = r * max(max_w, 1) + abs(m_tw) + 1
-        values = []
-        for _ in range(8):
-            values.append(self._h0_at(side, n_tw, m_tw, dz, dw))
-            if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
-                return values[-1]
-            dz *= 2
-            dw *= 2
-        raise OracleInconclusiveError(
-            f"truncation did not stabilize for {side} twist ({n_tw},{m_tw}): {values}"
-        )
-
     def h(self, n: int, m: int) -> tuple[int, int, int]:
         """(h^0, h^1, h^2) of E(n, m), computed independently of Leray."""
         n2, m2 = self.desc.normalized_twist(n, m)
-        h0 = self._stable_h0("primal", n2, m2)
-        h2 = self._stable_h0("dual", -n2 - 2, -m2 - 2)
+        h0 = self._side_h0("primal", n2, m2)
+        h2 = self._side_h0("dual", -n2 - 2, -m2 - 2)
         chi = chi_Q(self.desc, n, m)
         h1 = h0 + h2 - chi
         if h1 < 0:
             raise OracleInconclusiveError(
-                f"negative h^1 = {h1} at ({n},{m}); truncation undercounted"
+                f"negative h^1 = {h1} at ({n},{m}); the section solve undercounted"
             )
         return (h0, h1, h2)
+
+
+def _max_w_exp(grid) -> int:
+    """Largest w-exponent among the terms of a transition grid."""
+    return max(ew for row in grid for cell in row for _, ew in cell)
 
 
 def cech_oracle_h(desc: ConstantBundleDesc, n: int, m: int) -> tuple[int, int, int]:

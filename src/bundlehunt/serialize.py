@@ -55,14 +55,31 @@ def matrix_from_json(data: Any) -> LaurentMatrix:
     if not isinstance(grid, list) or not all(isinstance(r, list) for r in grid):
         raise ParseError("matrix 'entries' must be a list of rows")
     rows = len(grid)
-    cols = len(grid[0]) if rows else 0
+    cols = rows
     flat = []
     for i, row in enumerate(grid):
         if len(row) != cols:
-            raise ParseError(f"matrix row {i} has {len(row)} entries, expected {cols}")
+            raise ParseError(
+                f"transition matrix must be square: row {i} has {len(row)} entries, "
+                f"expected {cols}"
+            )
         for j, cell in enumerate(row):
             flat.append(poly_from_json(variable, cell, where=f" at entry ({i},{j})"))
     return LaurentMatrix(variable, rows, cols, flat)
+
+
+def _int_list(data: Any, name: str) -> list:
+    """A JSON list of integers; JSON booleans do not count as integers."""
+    if not isinstance(data, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) for n in data
+    ):
+        raise ParseError(f"{name} must be a list of integers, got {json.dumps(data)}")
+    return data
+
+
+def _splitting_from_json(data: Any, name: str) -> SplittingType:
+    """A splitting type written as a JSON list of integers."""
+    return SplittingType(_int_list(data, name))
 
 
 def cocycle_to_json(e: ExtCocycle) -> dict:
@@ -81,9 +98,11 @@ def cocycle_from_json(data: Any, default_variable: str = "z") -> ExtCocycle:
     if not isinstance(data, dict) or "f1" not in data or "f2" not in data:
         raise ParseError("cocycle file must carry 'f1', 'f2' and 'entries'")
     variable = data.get("variable", default_variable)
-    f1 = SplittingType(data["f1"])
-    f2 = SplittingType(data["f2"])
+    f1 = _splitting_from_json(data["f1"], "f1")
+    f2 = _splitting_from_json(data["f2"], "f2")
     grid = data.get("entries", [])
+    if not isinstance(grid, list) or not all(isinstance(row, list) for row in grid):
+        raise ParseError("cocycle 'entries' must be a list of rows")
     if len(grid) != f1.rank:
         raise ParseError(f"cocycle has {len(grid)} entry rows, expected {f1.rank}")
     flat = []
@@ -152,49 +171,54 @@ def certificate_from_json(data: Any) -> Certificate:
         raise ParseError("certificate must be a JSON object")
     params = params_from_json(data.get("params", {}))
     try:
-        f1 = SplittingType(data["F1"])
-        f2 = SplittingType(data["F2"])
+        f1 = _splitting_from_json(data["F1"], "F1")
+        f2 = _splitting_from_json(data["F2"], "F2")
         r1, r2 = f1.rank, f2.rank
         eta0 = _eta_from_json(data.get("eta0"), f1, f2, "eta0")
         eta1 = _eta_from_json(data.get("eta1"), f1, f2, "eta1")
+        shift = _int_list(data.get("shift", [0, 0]), "shift")
+        swapped = data.get("swapped", False)
+        if len(shift) != 2 or not isinstance(swapped, bool):
+            raise ParseError("'shift' must be two integers and 'swapped' a boolean")
         desc = ConstantBundleDesc(
             r1,
             r2,
             f1,
             f2,
             BigradedEta(eta0, eta1),
-            shift=tuple(data.get("shift", [0, 0])),
-            axis_swapped=bool(data.get("swapped", False)),
+            shift=tuple(shift),
+            axis_swapped=swapped,
+        )
+        stated_fiber = data.get("F")
+        if stated_fiber is not None:
+            if _splitting_from_json(stated_fiber, "F") != desc.fiber_type:
+                raise ParseError(
+                    f"stated fiber type {stated_fiber} does not match ranks ({r1},{r2})"
+                )
+        gen = data.get("genericity", {})
+
+        def records(key: str) -> tuple:
+            return tuple(TwistRankRecord(*map(int, row)) for row in gen.get(key, []))
+
+        digest = data.get("table_digest", {})
+        return Certificate(
+            params=params,
+            desc=desc,
+            genericity=GenericityReport(plus=records("n=1"), minus=records("n=-2")),
+            table_digest=TableDigest(
+                window=int(digest.get("window", data.get("verified_window", 0))),
+                cells=int(digest.get("cells", 0)),
+                natural=bool(digest.get("natural", False)),
+                region_counts=dict(digest.get("region_counts", {})),
+            ),
+            seed=int(data.get("seed", 0)),
+            resamples=int(data.get("resamples", 0)),
+            verified_window=int(data.get("verified_window", 0)),
         )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError, BundleHuntError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, BundleHuntError) as exc:
         raise ParseError(f"bad certificate body: {exc}") from exc
-    stated_fiber = data.get("F")
-    if stated_fiber is not None and SplittingType(stated_fiber) != desc.fiber_type:
-        raise ParseError(
-            f"stated fiber type {stated_fiber} does not match ranks ({r1},{r2})"
-        )
-    gen = data.get("genericity", {})
-
-    def records(key: str) -> tuple:
-        return tuple(TwistRankRecord(*map(int, row)) for row in gen.get(key, []))
-
-    digest = data.get("table_digest", {})
-    return Certificate(
-        params=params,
-        desc=desc,
-        genericity=GenericityReport(plus=records("n=1"), minus=records("n=-2")),
-        table_digest=TableDigest(
-            window=int(digest.get("window", data.get("verified_window", 0))),
-            cells=int(digest.get("cells", 0)),
-            natural=bool(digest.get("natural", False)),
-            region_counts=dict(digest.get("region_counts", {})),
-        ),
-        seed=int(data.get("seed", 0)),
-        resamples=int(data.get("resamples", 0)),
-        verified_window=int(data.get("verified_window", 0)),
-    )
 
 
 def _eta_from_json(grid: Any, f1: SplittingType, f2: SplittingType, name: str) -> ExtCocycle:

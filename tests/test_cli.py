@@ -146,6 +146,12 @@ def test_split_command(tmp_path, capsys):
     )
     assert main(["split", "--matrix", str(mfile)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "[-2, -2]"
+    # [[1, z^3], [0, 1]] glues O + O; its sections reach degree 3
+    mfile.write_text(
+        json.dumps({"variable": "z", "entries": [[[[0, "1"]], [[3, "1"]]], [[], [[0, "1"]]]]})
+    )
+    assert main(["split", "--matrix", str(mfile)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "[0, 0]"
 
 
 def test_split_rejects_non_bundle(tmp_path, capsys):
@@ -189,3 +195,35 @@ def test_certificate_json_schema_round_trip(cert_path):
     cert = serialize.certificate_from_json(data)
     again = serialize.certificate_to_json(cert)
     assert again == data
+
+
+def _assert_parse_error(argv, capsys):
+    assert main(argv) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err
+
+
+def test_malformed_inputs_are_parse_errors(cert_path, tmp_path, capsys):
+    cfile = tmp_path / "c.json"
+    cfile.write_text(json.dumps({"f1": ["x"], "f2": [2], "entries": []}))
+    _assert_parse_error(["ext-classify", "--cocycle", str(cfile)], capsys)
+    cfile.write_text(json.dumps({"f1": [-4], "f2": [0], "entries": 7}))
+    _assert_parse_error(["ext-classify", "--cocycle", str(cfile)], capsys)
+
+    bad_cert = tmp_path / "bad_cert.json"
+    for key, value in [
+        ("F", "zz"),
+        ("seed", "x"),
+        ("shift", "ab"),
+        ("swapped", "no"),
+        ("table_digest", 5),
+        ("genericity", {"n=1": [["a"]]}),
+    ]:
+        data = json.loads(cert_path.read_text())
+        data[key] = value
+        bad_cert.write_text(json.dumps(data))
+        _assert_parse_error(["verify", "--cert", str(bad_cert)], capsys)
+
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps({"variable": "z", "entries": [[[[0, "1"]], [[1, "1"]]]]}))
+    _assert_parse_error(["split", "--matrix", str(mfile)], capsys)

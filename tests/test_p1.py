@@ -134,6 +134,54 @@ def test_splitting_from_transition_examples():
         LaurentMatrix.from_rows("z", [[zmono(4), zmono(2)], [0, 1]])
     ) == [-2, -2]
     assert splitting_from_transition(LaurentMatrix("z", 0, 0, [])) == SplittingType(())
+    # off-diagonal entries beyond the normal-form window raise section degrees
+    # above the diagonal's, which a cap read off the diagonal misses
+    assert splitting_from_transition(
+        LaurentMatrix.from_rows("z", [[1, zmono(3)], [0, 1]])
+    ) == [0, 0]
+    assert splitting_from_transition(
+        LaurentMatrix.from_rows("z", [[1, zmono(5)], [0, 1]])
+    ) == [0, 0]
+    assert splitting_from_transition(
+        LaurentMatrix.from_rows("z", [[zmono(2), zmono(5)], [0, zmono(-2)]])
+    ) == [2, -2]
+
+
+@st.composite
+def triangular_transitions(draw):
+    """(c, gamma) with gamma = diag(z^-c) * U, U unipotent over Q[z]."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    c = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=r, max_size=r))
+    upper = draw(st.booleans())
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            if i == j:
+                row.append(zmono(-c[i]))
+            elif (j > i) == upper:
+                terms = draw(
+                    st.dictionaries(
+                        st.integers(min_value=0, max_value=6),
+                        st.integers(min_value=-3, max_value=3),
+                        max_size=3,
+                    )
+                )
+                row.append(LaurentPoly("z", terms).shift(-c[i]))
+            else:
+                row.append(0)
+        rows.append(row)
+    return SplittingType(c), LaurentMatrix.from_rows("z", rows)
+
+
+@given(triangular_transitions())
+@settings(max_examples=60, deadline=None)
+def test_triangular_transition_matches_its_diagonal(case):
+    c, gamma = case
+    reach = max(abs(n) for n in c.components) + 3
+    for m in range(-reach, reach + 1):
+        assert h0_from_transition(gamma, m) == h_split(c, m)[0]
+    assert splitting_from_transition(gamma) == c
 
 
 def test_splitting_block_diagonal_merges(rng):

@@ -426,3 +426,17 @@ def test_oracle_respects_shift_and_swap(rng):
     oracle = CechOracle(moved)
     for n, m, cell in table.iter_cells():
         assert oracle.h(n, m) == cell.triple
+
+
+def test_oracle_agrees_with_table_beyond_the_h1_band(rng):
+    # window +-4 reaches cells with sections and with h^2, where the oracle's
+    # w-degree cap is tight; +-2 is mostly pure h^1
+    seen = {"h0": 0, "h2": 0}
+    for _ in range(6):
+        desc = random_desc(rng, max_rank=3)
+        oracle = CechOracle(desc)
+        for n, m, cell in cohomology_table(desc, square_window(4)).iter_cells():
+            assert oracle.h(n, m) == cell.triple, (desc, n, m)
+            seen["h0"] += cell.h0 > 0
+            seen["h2"] += cell.h2 > 0
+    assert seen["h0"] > 0 and seen["h2"] > 0, seen

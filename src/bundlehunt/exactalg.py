@@ -38,6 +38,28 @@ def rat_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def clear_denominators(fracs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(mult, ints) with mult the lcm of the denominators and ints = mult * fracs."""
+    fracs = list(fracs)
+    mult = lcm(*[f.denominator for f in fracs])
+    if mult == 1:
+        return 1, [f.numerator for f in fracs]
+    return mult, [f.numerator * (mult // f.denominator) for f in fracs]
+
+
+def integer_rows(rows: Iterable[Mapping[int, Fraction]]) -> list[tuple[list, list]]:
+    """Sparse (cols, vals) integer rows from {col: Fraction} rows, one scalar per row.
+
+    Clearing each row's denominators rescales that row only, which changes
+    no rank and no kernel.
+    """
+    out = []
+    for row in rows:
+        cols = sorted(row)
+        out.append((cols, clear_denominators([row[c] for c in cols])[1]))
+    return out
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -85,9 +107,11 @@ class LaurentPoly:
         """Build from [exponent, "p/q"] pairs (the serialization format)."""
         terms = {}
         for e, c in pairs:
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise TypeError(f"exponent must be an integer, got {e!r}")
             c = rat_from_str(c) if isinstance(c, str) else _as_fraction(c)
             if c != 0:
-                terms[int(e)] = terms.get(int(e), Fraction(0)) + c
+                terms[e] = terms.get(e, Fraction(0)) + c
         return cls(variable, terms)
 
     def to_pairs(self) -> list:
@@ -468,17 +492,10 @@ class RatMatrix:
         return RatMatrix(self.rows, other.cols, out)
 
     def _sparse_int_rows(self):
-        """Clear denominators row by row; yields (cols, vals) integer rows."""
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            cols = [j for j, v in enumerate(row) if v != 0]
-            if not cols:
-                continue
-            mult = lcm(*(row[j].denominator for j in cols)) if cols else 1
-            vals = [int(row[j] * mult) for j in cols]
-            out.append((cols, vals))
-        return out
+        """The rows as sparse integer rows, denominators cleared row by row."""
+        return integer_rows(
+            {j: v for j, v in enumerate(self.row(i)) if v} for i in range(self.rows)
+        )
 
     def rank(self) -> int:
         return kernels.rank_rows(self._sparse_int_rows(), self.cols)
@@ -499,9 +516,7 @@ class RatMatrix:
                         s += a * v[c]
                 if s:
                     v[cols[0]] = -s / vals[0]
-            vec = [v.get(j, Fraction(0)) for j in range(self.cols)]
-            mult = lcm(*(x.denominator for x in vec))
-            ints = [int(x * mult) for x in vec]
+            _, ints = clear_denominators(v.get(j, Fraction(0)) for j in range(self.cols))
             g = 0
             for x in ints:
                 g = gcd(g, x)
@@ -544,14 +559,13 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
 
 def _det_fraction(grid: list[list[Fraction]]) -> Fraction:
     """Exact determinant of a dense rational matrix via integer Bareiss."""
-    n = len(grid)
-    scale = Fraction(1)
+    scale = 1
     int_rows = []
     for row in grid:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
+        mult, ints = clear_denominators(row)
         scale *= mult
-        int_rows.append([int(x * mult) for x in row])
-    return Fraction(kernels.det_int(int_rows)) / scale
+        int_rows.append(ints)
+    return Fraction(kernels.det_int(int_rows), scale)
 
 
 def _newton_interpolate(points: list[Fraction], values: list[Fraction]) -> list[Fraction]:

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
-
-from math import gcd, lcm
+from itertools import accumulate
+from math import gcd
+from typing import Callable, Iterable
 
 from . import kernels
 from .errors import DimensionError, InvalidCocycleError
-from .exactalg import LaurentMatrix, LaurentPoly, RatMatrix
+from .exactalg import LaurentMatrix, LaurentPoly, RatMatrix, clear_denominators
 from .p1 import H0Profile, SplittingType, h_split, splitting_from_h0_profile
 
 
@@ -146,16 +146,19 @@ def ext_dim(f2: SplittingType, f1: SplittingType) -> int:
     return total
 
 
-def relevant_twists(e: ExtCocycle) -> TwistInterval:
-    """Outside this interval the connecting map's source or target vanishes.
+def twist_window(f1: SplittingType, f2: SplittingType) -> TwistInterval:
+    """Outside this interval the source H^0(F2(m)) or target H^1(F1(m)) vanishes.
 
     [lo, hi] = [-max b_j, max_i(-a_i - 2)]; maximal rank is automatic outside.
     """
-    if e.f1.rank == 0 or e.f2.rank == 0:
+    if f1.rank == 0 or f2.rank == 0:
         return TwistInterval(0, -1)
-    lo = -max(e.f2.components)
-    hi = max(-a - 2 for a in e.f1.components)
-    return TwistInterval(lo, hi)
+    return TwistInterval(-max(f2.components), max(-a - 2 for a in f1.components))
+
+
+def relevant_twists(e: ExtCocycle) -> TwistInterval:
+    """Twists where the connecting map of e has nonzero source and target."""
+    return twist_window(e.f1, e.f2)
 
 
 def assemble_transition(e: ExtCocycle) -> LaurentMatrix:
@@ -221,20 +224,11 @@ def _int_term_table(e: ExtCocycle):
         table = []
         r = e.f2.rank
         for i in range(e.f1.rank):
-            row_entries = [e.entry(i, j).terms() for j in range(r)]
-            denom = 1
-            for items in row_entries:
-                for _, c in items:
-                    if c.denominator != 1:
-                        denom = lcm(denom, c.denominator)
-            if denom == 1:
-                for items in row_entries:
-                    table.append([(exp, c.numerator) for exp, c in reversed(items)])
-            else:
-                for items in row_entries:
-                    table.append(
-                        [(exp, int(c * denom)) for exp, c in reversed(items)]
-                    )
+            row_terms = [e.entry(i, j).terms() for j in range(r)]
+            _, ints = clear_denominators(c for terms in row_terms for _, c in terms)
+            scaled = iter(ints)
+            for terms in row_terms:
+                table.append([(exp, next(scaled)) for exp, _ in terms][::-1])
         e._int_terms = table
     return table
 
@@ -242,33 +236,24 @@ def _int_term_table(e: ExtCocycle):
 def _connecting_int_rows(e: ExtCocycle, m: int):
     """The connecting map as sparse integer rows: (rows, nrows, ncols).
 
-    Same matrix as connecting_map up to a scalar per row and per cocycle
-    entry, which changes no rank.  This is the hot path behind every
-    cohomology count, so entries go straight to integers.
+    One row per target class, in the order of connecting_map, empty rows
+    included.  Row t is a positive multiple of row t of connecting_map (one
+    scalar per F1 summand clears the denominators), which changes no rank.
+    This is the hot path behind every cohomology count, so entries go
+    straight to integers.
     """
     col_sizes = [max(b + m + 1, 0) for b in e.f2.components]
-    ncols = sum(col_sizes)
-    nrows = 0
+    col_offs = [0, *accumulate(col_sizes)]
     rows = []
     r = e.f2.rank
     table = _int_term_table(e)
-    col_offs = []
-    off = 0
-    for w in col_sizes:
-        col_offs.append(off)
-        off += w
     for i, a in enumerate(e.f1.components):
-        hrows = max(-a - m - 1, 0)
-        nrows += hrows
-        if hrows == 0 or ncols == 0:
-            continue
-        base = i * r
         slots = [
-            (col_offs[j], col_sizes[j], table[base + j])
+            (col_offs[j], col_sizes[j], table[i * r + j])
             for j in range(r)
-            if col_sizes[j] and table[base + j]
+            if col_sizes[j] and table[i * r + j]
         ]
-        for t in range(1, hrows + 1):
+        for t in range(1, max(-a - m - 1, 0) + 1):
             cols = []
             vals = []
             tm = t + m
@@ -279,15 +264,14 @@ def _connecting_int_rows(e: ExtCocycle, m: int):
                     if 0 <= k < wcols:
                         cols.append(coff + k)
                         vals.append(c)
-            if cols:
-                rows.append((cols, vals))
-    return rows, nrows, ncols
+            rows.append((cols, vals))
+    return rows, len(rows), col_offs[-1]
 
 
 def connecting_rank(e: ExtCocycle, m: int) -> int:
     """Exact rank of the connecting map at twist m (fast integer route)."""
     rows, nrows, ncols = _connecting_int_rows(e, m)
-    if not rows:
+    if nrows == 0 or ncols == 0:
         return 0
     if nrows > ncols:
         # eliminate the thin orientation: fewer rows through the pivot queue
@@ -313,27 +297,39 @@ def connecting_rank_profile(e: ExtCocycle) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def les_h0(
+    f1: SplittingType, f2: SplittingType, rank_at: Callable[[int], int]
+) -> H0Profile:
+    """h^0 profile of an extension G of F2 by F1, from the long exact sequence.
+
+    h^0(G(m)) = h^0(F1(m)) + h^0(F2(m)) - rank_at(m), where rank_at gives the
+    rank of the connecting map; it is consulted only inside twist_window.
+    """
+    window = twist_window(f1, f2)
+
+    def h0(m: int) -> int:
+        v = h_split(f1, m)[0] + h_split(f2, m)[0]
+        if window.lo <= m <= window.hi:
+            v -= rank_at(m)
+        return v
+
+    return H0Profile(h0)
+
+
 def splitting_of_extension(e: ExtCocycle) -> SplittingType:
     """Splitting type of the total space of the extension, via the long exact sequence.
 
-    h^0(G(m)) = h^0(F1(m)) + h^0(F2(m)) - rank c(m); the resulting profile is
-    peeled with rank s + r and degree deg F1 + deg F2.
+    The h^0 profile (les_h0) is peeled with rank s + r and degree
+    deg F1 + deg F2.
     """
     rank_total = e.f1.rank + e.f2.rank
     if rank_total == 0:
         return SplittingType(())
-    degree = e.f1.degree + e.f2.degree
-    window = relevant_twists(e)
-
-    def h0(m: int) -> int:
-        v = h_split(e.f1, m)[0] + h_split(e.f2, m)[0]
-        if not window.is_empty and window.lo <= m <= window.hi:
-            v -= connecting_rank(e, m)
-        return v
-
-    comps = list(e.f1.components) + list(e.f2.components)
-    top = max(comps)
-    return splitting_from_h0_profile(H0Profile(h0), rank_total, degree, top_bound=top)
+    profile = les_h0(e.f1, e.f2, lambda m: connecting_rank(e, m))
+    top = max(e.f1.components + e.f2.components)
+    return splitting_from_h0_profile(
+        profile, rank_total, e.f1.degree + e.f2.degree, top_bound=top
+    )
 
 
 def is_hn_top(e: ExtCocycle) -> bool:
@@ -351,30 +347,30 @@ def is_hn_top(e: ExtCocycle) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _span_rows(vectors: list, ncols: int) -> list:
-    """Echelon basis (integer rows) of the span of the given integer rows."""
+def _sparse(vectors: list) -> list:
+    """Sparse (cols, vals) rows of dense integer rows; zero rows are dropped."""
     rows = []
     for vec in vectors:
         cols = [j for j, v in enumerate(vec) if v]
         if cols:
             rows.append((cols, [vec[j] for j in cols]))
-    piv = kernels.echelon(rows, ncols)
+    return rows
+
+
+def _dense(rows: list, ncols: int) -> list:
+    """Dense integer rows of length ncols from sparse (cols, vals) rows."""
     out = []
-    for cols, vals in piv:
-        dense = [0] * ncols
+    for cols, vals in rows:
+        vec = [0] * ncols
         for c, v in zip(cols, vals):
-            dense[c] = v
-        out.append(dense)
+            vec[c] = v
+        out.append(vec)
     return out
 
 
-def _rank_of_rows(vectors: list, ncols: int) -> int:
-    rows = []
-    for vec in vectors:
-        cols = [j for j, v in enumerate(vec) if v]
-        if cols:
-            rows.append((cols, [vec[j] for j in cols]))
-    return kernels.rank_rows(rows, ncols)
+def _span_rows(vectors: list, ncols: int) -> list:
+    """Echelon basis (integer rows) of the span of the given integer rows."""
+    return _dense(kernels.echelon(_sparse(vectors), ncols), ncols)
 
 
 def _apply(mat: list, vec: list, nrows: int) -> list:
@@ -388,12 +384,7 @@ def _kernel_int(mat: list, ncols: int) -> list:
     cross multiplication and content stripping), so kernel vectors come out
     integral without any rational arithmetic.
     """
-    rows = []
-    for r in mat:
-        cols = [j for j, v in enumerate(r) if v]
-        if cols:
-            rows.append((cols, [r[j] for j in cols]))
-    pivots = kernels.echelon(rows, ncols)
+    pivots = kernels.echelon(_sparse(mat), ncols)
     if not pivots:
         return [[1 if j == f else 0 for j in range(ncols)] for f in range(ncols)]
     # upward pass, bottom pivot first: clear every lower pivot column
@@ -468,36 +459,10 @@ class StaircasePair:
         self._chains: dict[tuple[int, int], dict] = {}
 
     def _dense_pair(self, m: int):
-        r = h_split(self.eta0.f1, m)[1]
-        c = h_split(self.eta0.f2, m)[0]
-
-        def dense(e: ExtCocycle):
-            table = _int_term_table(e)
-            rnk = e.f2.rank
-            col_sizes = [max(b + m + 1, 0) for b in e.f2.components]
-            col_offs = []
-            off = 0
-            for wdt in col_sizes:
-                col_offs.append(off)
-                off += wdt
-            out = []
-            for i, a in enumerate(e.f1.components):
-                hrows = max(-a - m - 1, 0)
-                for t in range(1, hrows + 1):
-                    row = [0] * c
-                    tm = t + m
-                    for j in range(rnk):
-                        wcols = col_sizes[j]
-                        if not wcols:
-                            continue
-                        for exp, cval in table[i * rnk + j]:
-                            k = tm - exp
-                            if 0 <= k < wcols:
-                                row[col_offs[j] + k] = cval
-                    out.append(row)
-            return out
-
-        return dense(self.eta0), dense(self.eta1), r, c
+        """Dense integer c_{eta0}(m), c_{eta1}(m) and their shape (rows, cols)."""
+        rows0, nrows, ncols = _connecting_int_rows(self.eta0, m)
+        rows1 = _connecting_int_rows(self.eta1, m)[0]
+        return _dense(rows0, ncols), _dense(rows1, ncols), nrows, ncols
 
     def _chain(self, m: int, side: int) -> dict:
         """side +1: chains starting in ker A; side -1: unconstrained start."""
@@ -529,7 +494,7 @@ class StaircasePair:
             w = _span_rows([_apply(b_mat, v, nrows_r) for v in s_basis], nrows_r)
             dim_w = len(w)
             dims_bs.append(dim_w)
-            dim_u = rank_a + dim_w - _rank_of_rows(im_a + w, nrows_r)
+            dim_u = rank_a + dim_w - kernels.rank_rows(_sparse(im_a + w), nrows_r)
             drop = dim_w - dim_u
             if dim_w:
                 aug = [

@@ -1,21 +1,146 @@
-"""Backend selection for the elimination kernels.
+"""Sparse fraction-free integer elimination.
 
-The compiled extension is preferred when importable; set BUNDLEHUNT_PURE=1 in
-the environment to force the pure Python fallback.  Both backends implement
-the same algorithm and produce identical echelon output.
+A sparse row is a pair (cols, vals) of parallel lists: strictly increasing
+column indices and the nonzero integer entries sitting there.  Elimination is
+fraction free: to cancel the leading entry of one row against another we form
+(p/g)*row - (q/g)*pivot with g = gcd(p, q), then strip the content of the
+result, so all intermediate values stay integers of moderate size.  This is
+the hot kernel behind every rank, kernel and determinant computation.
 """
 
-import os
+import heapq
+from math import gcd
 
-if os.environ.get("BUNDLEHUNT_PURE"):
-    from . import _elim_py as _impl
-else:
-    try:
-        from . import _elim_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _elim_py as _impl
+BACKEND = "python"  # the only backend; named in benchmark reports
 
-BACKEND = _impl.BACKEND
-echelon = _impl.echelon
-rank_rows = _impl.rank_rows
-det_int = _impl.det_int
+
+def _strip(cols, vals):
+    """Divide a row by its content and normalize the leading sign."""
+    g = 0
+    for v in vals:
+        g = gcd(g, v)
+        if g == 1:
+            break
+    if g > 1:
+        vals = [v // g for v in vals]
+    if vals and vals[0] < 0:
+        vals = [-v for v in vals]
+    return cols, vals
+
+
+def _combine(pcols, pvals, ocols, ovals):
+    """Merge a*other - b*pivot cancelling the shared leading column."""
+    p = pvals[0]
+    q = ovals[0]
+    g = gcd(p, q)
+    a = p // g
+    b = q // g
+    ncols = []
+    nvals = []
+    i = 1
+    j = 1
+    np_ = len(pcols)
+    no = len(ocols)
+    while i < np_ and j < no:
+        cp = pcols[i]
+        co = ocols[j]
+        if co < cp:
+            ncols.append(co)
+            nvals.append(a * ovals[j])
+            j += 1
+        elif cp < co:
+            ncols.append(cp)
+            nvals.append(-b * pvals[i])
+            i += 1
+        else:
+            v = a * ovals[j] - b * pvals[i]
+            if v:
+                ncols.append(co)
+                nvals.append(v)
+            i += 1
+            j += 1
+    while j < no:
+        ncols.append(ocols[j])
+        nvals.append(a * ovals[j])
+        j += 1
+    while i < np_:
+        ncols.append(pcols[i])
+        nvals.append(-b * pvals[i])
+        i += 1
+    return _strip(ncols, nvals)
+
+
+def echelon(rows, ncols, stop_at=None):
+    """Reduce sparse rows to echelon form.
+
+    rows: iterable of (cols, vals) sparse rows (not mutated).
+    Returns a list of pivot rows (cols, vals), one per pivot, ordered by
+    strictly increasing pivot column cols[0].  The rank is the length of the
+    returned list.  stop_at: an a-priori rank bound (e.g. min of the matrix
+    dimensions); elimination halts once that many pivots are found.
+    """
+    heap = []
+    seq = 0
+    for cols, vals in rows:
+        if any(v == 0 for v in vals):
+            cols = [c for c, v in zip(cols, vals) if v]
+            vals = [v for v in vals if v]
+        if cols:
+            cols, vals = _strip(list(cols), list(vals))
+            heapq.heappush(heap, (cols[0], len(cols), seq, cols, vals))
+            seq += 1
+    pivots = []
+    while heap:
+        if stop_at is not None and len(pivots) >= stop_at:
+            break
+        lead = heap[0][0]
+        group = []
+        while heap and heap[0][0] == lead:
+            group.append(heapq.heappop(heap))
+        piv = group[0]
+        for cand in group[1:]:
+            if (cand[1], cand[2]) < (piv[1], piv[2]):
+                piv = cand
+        pivots.append((piv[3], piv[4]))
+        for cand in group:
+            if cand is piv:
+                continue
+            cols, vals = _combine(piv[3], piv[4], cand[3], cand[4])
+            if cols:
+                heapq.heappush(heap, (cols[0], len(cols), seq, cols, vals))
+                seq += 1
+    return pivots
+
+
+def rank_rows(rows, ncols, stop_at=None):
+    """Rank of the sparse integer matrix given by rows."""
+    return len(echelon(rows, ncols, stop_at))
+
+
+def det_int(mat):
+    """Determinant of a dense square integer matrix by Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    m = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row = m[i]
+            prow = m[k]
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - mik * prow[j]) // prev
+            row[k] = 0
+        prev = pk
+    return sign * m[n - 1][n - 1]

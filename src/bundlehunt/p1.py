@@ -13,12 +13,11 @@ H^1(O(n)) is the monomials z^1, ..., z^(-n-1).
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Callable, Iterable, Optional
 
 from . import kernels
 from .errors import DimensionError, NotABundleError, ProfileError
-from .exactalg import LaurentMatrix, det_unit_order
+from .exactalg import LaurentMatrix, det_unit_order, integer_rows
 
 
 class SplittingType:
@@ -277,18 +276,7 @@ def _h0_sections(gamma: LaurentMatrix, m: int, bound: int) -> int:
                     e = base + k
                     if e >= 1:
                         rows.setdefault((i, e), {})[k * r + j] = c
-    int_rows = []
-    for constraint in rows.values():
-        cols = sorted(constraint)
-        fracs = [constraint[c] for c in cols]
-        denom = 1
-        for f in fracs:
-            d = f.denominator
-            if d != 1:
-                denom = denom * d // gcd(denom, d)
-        vals = [int(f * denom) for f in fracs]
-        int_rows.append((cols, vals))
-    return ncols - kernels.rank_rows(int_rows, ncols)
+    return ncols - kernels.rank_rows(integer_rows(rows.values()), ncols)
 
 
 def _unit_order(gamma: LaurentMatrix) -> int:

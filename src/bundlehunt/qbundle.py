@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Optional
 
 from . import kernels
@@ -28,15 +27,14 @@ from .errors import (
     InvalidRequestError,
     OracleInconclusiveError,
 )
-from .exactalg import LaurentMatrix, LaurentPoly, rat_to_str
+from .exactalg import LaurentMatrix, LaurentPoly, integer_rows, rat_to_str
 from .ext1 import (
     ExtCocycle,
     StaircasePair,
-    TwistInterval,
     entry_window,
+    les_h0,
 )
 from .p1 import (
-    H0Profile,
     SplittingType,
     h_split,
     natural_type,
@@ -373,29 +371,16 @@ class _DescComputation:
             return desc.f1
         if n == -1:
             return desc.f2
-        p, q = abs(n + 1), abs(n)
-        f1n = desc.f1.repeat(p)
-        f2n = desc.f2.repeat(q)
+        f1n = desc.f1.repeat(abs(n + 1))
+        f2n = desc.f2.repeat(abs(n))
         rank_col = f1n.rank + f2n.rank
         deg_col = f1n.degree + f2n.degree
-        if f1n.rank == 0 or f2n.rank == 0:
-            window = TwistInterval(0, -1)
-        else:
-            window = TwistInterval(
-                -max(f2n.components), max(-a - 2 for a in f1n.components)
-            )
-
-        def h0(m: int) -> int:
-            v = h_split(f1n, m)[0] + h_split(f2n, m)[0]
-            if not window.is_empty and window.lo <= m <= window.hi:
-                v -= self._staircase.rank(n, m)
-            return v
-
+        h0 = les_h0(f1n, f2n, lambda m: self._staircase.rank(n, m))
         candidate = self._pin_natural(h0, rank_col, deg_col)
         if candidate is not None:
             return candidate
-        top = max(list(f1n.components) + list(f2n.components))
-        return splitting_from_h0_profile(H0Profile(h0), rank_col, deg_col, top_bound=top)
+        top = max(f1n.components + f2n.components)
+        return splitting_from_h0_profile(h0, rank_col, deg_col, top_bound=top)
 
     @staticmethod
     def _pin_natural(h0, rank_col: int, deg_col: int) -> Optional[SplittingType]:
@@ -595,17 +580,8 @@ class CechOracle:
                         fp = fprime_base + f
                         if fp >= 1:
                             rows.setdefault((rho, e, fp), {})[f * nb + beta] = c
-        int_rows = []
-        for constraint in rows.values():
-            cols = sorted(constraint)
-            fracs = [constraint[c] for c in cols]
-            denom = 1
-            for fr in fracs:
-                if fr.denominator != 1:
-                    denom = lcm(denom, fr.denominator)
-            int_rows.append((cols, [int(fr * denom) for fr in fracs]))
         ncols = nb * (dw + 1)
-        return ncols - kernels.rank_rows(int_rows, ncols)
+        return ncols - kernels.rank_rows(integer_rows(rows.values()), ncols)
 
     def h(self, n: int, m: int) -> tuple[int, int, int]:
         """(h^0, h^1, h^2) of E(n, m), computed independently of Leray."""

@@ -68,13 +68,18 @@ def matrix_from_json(data: Any) -> LaurentMatrix:
     return LaurentMatrix(variable, rows, cols, flat)
 
 
+def _json_int(value: Any, name: str) -> int:
+    """A JSON integer; floats, booleans and strings are refused, never truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _int_list(data: Any, name: str) -> list:
-    """A JSON list of integers; JSON booleans do not count as integers."""
-    if not isinstance(data, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) for n in data
-    ):
+    """A JSON list of integers."""
+    if not isinstance(data, list):
         raise ParseError(f"{name} must be a list of integers, got {json.dumps(data)}")
-    return data
+    return [_json_int(n, f"{name} entry") for n in data]
 
 
 def _splitting_from_json(data: Any, name: str) -> SplittingType:
@@ -127,7 +132,7 @@ def params_from_json(data: Any) -> HilbertParams:
             rat_from_str(str(data["alpha"])),
             rat_from_str(str(data["beta"])),
             rat_from_str(str(data["gamma"])),
-            int(data["rank"]),
+            _json_int(data["rank"], "rank"),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad params block: {exc}") from exc
@@ -198,7 +203,10 @@ def certificate_from_json(data: Any) -> Certificate:
         gen = data.get("genericity", {})
 
         def records(key: str) -> tuple:
-            return tuple(TwistRankRecord(*map(int, row)) for row in gen.get(key, []))
+            return tuple(
+                TwistRankRecord(*_int_list(row, f"genericity {key} row"))
+                for row in gen.get(key, [])
+            )
 
         digest = data.get("table_digest", {})
         return Certificate(
@@ -206,14 +214,16 @@ def certificate_from_json(data: Any) -> Certificate:
             desc=desc,
             genericity=GenericityReport(plus=records("n=1"), minus=records("n=-2")),
             table_digest=TableDigest(
-                window=int(digest.get("window", data.get("verified_window", 0))),
-                cells=int(digest.get("cells", 0)),
+                window=_json_int(
+                    digest.get("window", data.get("verified_window", 0)), "table_digest window"
+                ),
+                cells=_json_int(digest.get("cells", 0), "table_digest cells"),
                 natural=bool(digest.get("natural", False)),
                 region_counts=dict(digest.get("region_counts", {})),
             ),
-            seed=int(data.get("seed", 0)),
-            resamples=int(data.get("resamples", 0)),
-            verified_window=int(data.get("verified_window", 0)),
+            seed=_json_int(data.get("seed", 0), "seed"),
+            resamples=_json_int(data.get("resamples", 0), "resamples"),
+            verified_window=_json_int(data.get("verified_window", 0), "verified_window"),
         )
     except ParseError:
         raise
@@ -251,12 +261,13 @@ def table_from_json(data: Any) -> CohomologyTable:
     from .qbundle import Cell
 
     try:
-        window = tuple(int(x) for x in data["window"])
+        window = tuple(_int_list(data["window"], "window"))
         cells = {}
         for c in data["cells"]:
-            cells[(int(c["n"]), int(c["m"]))] = Cell(
-                int(c["h0"]), int(c["h1"]), int(c["h2"]), int(c["chi"]), str(c["region"])
+            n, m, h0, h1, h2, chi = (
+                _json_int(c[k], k) for k in ("n", "m", "h0", "h1", "h2", "chi")
             )
+            cells[(n, m)] = Cell(h0, h1, h2, chi, str(c["region"]))
         return CohomologyTable(window, cells)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad table JSON: {exc}") from exc

@@ -218,12 +218,33 @@ def test_malformed_inputs_are_parse_errors(cert_path, tmp_path, capsys):
         ("swapped", "no"),
         ("table_digest", 5),
         ("genericity", {"n=1": [["a"]]}),
+        # JSON numbers that are not integers are refused, never truncated
+        ("seed", "0"),
+        ("resamples", 1.5),
+        ("verified_window", 6.7),
+        ("shift", [0, 0.5]),
+        ("table_digest", {"window": 6.0, "cells": 169}),
+        ("table_digest", {"window": 6, "cells": True}),
+        ("genericity", {"n=1": [[1.5, 0, 0, 0]]}),
     ]:
         data = json.loads(cert_path.read_text())
         data[key] = value
         bad_cert.write_text(json.dumps(data))
         _assert_parse_error(["verify", "--cert", str(bad_cert)], capsys)
+    for rank in (3.9, True, "3"):
+        data = json.loads(cert_path.read_text())
+        data["params"]["rank"] = rank
+        bad_cert.write_text(json.dumps(data))
+        _assert_parse_error(["verify", "--cert", str(bad_cert)], capsys)
+    cells = [{"n": 0, "m": 0, "h0": 1.0, "h1": 0, "h2": 0, "chi": 1, "region": "H0R"}]
+    with pytest.raises(serialize.ParseError):
+        serialize.table_from_json({"window": [0, 0, 0, 0], "cells": cells})
 
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps({"variable": "z", "entries": [[[[0, "1"]], [[1, "1"]]]]}))
+    _assert_parse_error(["split", "--matrix", str(mfile)], capsys)
+    # a non-integer exponent is refused, not truncated
+    mfile.write_text(
+        json.dumps({"variable": "z", "entries": [[[[0, "1"]], [[1.7, "1"]]], [[], [[0, "1"]]]]})
+    )
     _assert_parse_error(["split", "--matrix", str(mfile)], capsys)

@@ -11,6 +11,7 @@ from bundlehunt.exactalg import LaurentPoly
 from bundlehunt.ext1 import (
     ExtCocycle,
     TwistInterval,
+    _connecting_int_rows,
     assemble_transition,
     connecting_map,
     connecting_rank,
@@ -132,13 +133,32 @@ def test_les_dimension_identities(rng):
             assert h1g + rk == h1a + h1b
 
 
+def assert_positive_multiple(int_row, ncols, dense_row):
+    """The sparse integer row is c * dense_row for some rational c > 0."""
+    cols, vals = int_row
+    assert cols == [j for j in range(ncols) if dense_row[j]]
+    ratios = {F(v) / dense_row[c] for c, v in zip(cols, vals)}
+    assert len(ratios) <= 1 and all(x > 0 for x in ratios)
+
+
 def test_connecting_rank_matches_matrix_rank(rng):
     for _ in range(40):
         f1 = random_splitting(rng, rng.randint(1, 3), -5, 0)
         f2 = random_splitting(rng, rng.randint(1, 3), 0, 4)
         e = random_cocycle(rng, f1, f2)
-        for m in range(-4, 5):
-            assert connecting_rank(e, m) == connecting_map(e, m).rank()
+        # zero entries give empty rows; 1/2 and 1/3 mix denominators in a row
+        mixed = ExtCocycle(
+            f1, f2, [x * rng.choice([0, 1, F(1, 2), F(1, 3)]) for x in e.entries()]
+        )
+        for c in (e, mixed):
+            for m in range(-4, 5):
+                dense = connecting_map(c, m)
+                assert connecting_rank(c, m) == dense.rank()
+                rows, nrows, ncols = _connecting_int_rows(c, m)
+                assert (nrows, ncols) == (dense.rows, dense.cols)
+                assert len(rows) == nrows
+                for t, row in enumerate(rows):
+                    assert_positive_multiple(row, ncols, dense.row(t))
 
 
 def test_rational_coefficients_same_classification(rng):

@@ -1,18 +1,9 @@
-"""Backend equivalence and reference checks for the elimination kernels."""
+"""Reference checks for the elimination kernels."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
-from bundlehunt import _elim_py, kernels
-
-try:
-    from bundlehunt import _elim_c
-except ImportError:
-    _elim_c = None
-
-BACKENDS = [_elim_py] if _elim_c is None else [_elim_py, _elim_c]
+from bundlehunt import kernels
 
 
 def rank_reference(rows, ncols):
@@ -52,53 +43,38 @@ def random_rows(rng, nrows, ncols, density=0.4, mag=9):
     return rows
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_rank_matches_fraction_reference(backend, rng):
+def test_rank_matches_fraction_reference(rng):
     for _ in range(150):
         nrows = rng.randint(1, 12)
         ncols = rng.randint(1, 12)
         rows = random_rows(rng, nrows, ncols)
         want = rank_reference(rows, ncols)
-        got = backend.rank_rows([(list(c), list(v)) for c, v in rows], ncols)
+        got = kernels.rank_rows([(list(c), list(v)) for c, v in rows], ncols)
         assert got == want
 
 
-@pytest.mark.skipif(_elim_c is None, reason="compiled backend not built")
-def test_backends_produce_identical_echelon(rng):
-    for _ in range(150):
-        nrows = rng.randint(1, 15)
-        ncols = rng.randint(1, 15)
-        rows = random_rows(rng, nrows, ncols, density=rng.uniform(0.1, 0.7))
-        a = _elim_py.echelon([(list(c), list(v)) for c, v in rows], ncols)
-        b = _elim_c.echelon([(list(c), list(v)) for c, v in rows], ncols)
-        assert a == b
-
-
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_early_stop_matches_full_rank(backend, rng):
+def test_early_stop_matches_full_rank(rng):
     for _ in range(60):
         nrows = rng.randint(1, 10)
         ncols = rng.randint(1, 10)
         rows = random_rows(rng, nrows, ncols, density=0.6)
-        full = backend.rank_rows([(list(c), list(v)) for c, v in rows], ncols)
-        stopped = backend.rank_rows(
+        full = kernels.rank_rows([(list(c), list(v)) for c, v in rows], ncols)
+        stopped = kernels.rank_rows(
             [(list(c), list(v)) for c, v in rows], ncols, min(nrows, ncols)
         )
         # the stop bound is a true bound, so both runs agree
         assert stopped == full
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_det_small_cases(backend):
-    assert backend.det_int([]) == 1
-    assert backend.det_int([[7]]) == 7
-    assert backend.det_int([[1, 2], [3, 4]]) == -2
-    assert backend.det_int([[0, 1], [1, 0]]) == -1
-    assert backend.det_int([[1, 2], [2, 4]]) == 0
+def test_det_small_cases():
+    assert kernels.det_int([]) == 1
+    assert kernels.det_int([[7]]) == 7
+    assert kernels.det_int([[1, 2], [3, 4]]) == -2
+    assert kernels.det_int([[0, 1], [1, 0]]) == -1
+    assert kernels.det_int([[1, 2], [2, 4]]) == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
-def test_det_multiplicative(backend, rng):
+def test_det_multiplicative(rng):
     def matmul(a, b):
         n = len(a)
         return [
@@ -109,11 +85,5 @@ def test_det_multiplicative(backend, rng):
         n = rng.randint(1, 5)
         a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert backend.det_int(matmul(a, b)) == backend.det_int(a) * backend.det_int(b)
+        assert kernels.det_int(matmul(a, b)) == kernels.det_int(a) * kernels.det_int(b)
 
-
-def test_selected_backend_exposes_api():
-    assert kernels.BACKEND in ("python", "cython")
-    assert callable(kernels.echelon)
-    assert callable(kernels.rank_rows)
-    assert callable(kernels.det_int)

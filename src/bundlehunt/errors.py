@@ -30,7 +30,7 @@ class UnsupportedCaseError(BundleHuntError):
 
 
 class GenericityExhaustedError(BundleHuntError):
-    """No generic extension datum found within the resample budget."""
+    """No generic extension datum with a natural table found within the resample budget."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -35,7 +35,7 @@ def entry_window(a_i: int, b_j: int) -> tuple[int, int]:
 class ExtCocycle:
     """Matrix of Cech H^1 classes representing a point of Ext^1(F2, F1)."""
 
-    __slots__ = ("f1", "f2", "variable", "_entries", "_int_terms")
+    __slots__ = ("f1", "f2", "variable", "_entries", "_int_terms", "_ranks")
 
     def __init__(
         self,
@@ -74,6 +74,7 @@ class ExtCocycle:
         self.variable = variable
         self._entries = tuple(flat)
         self._int_terms = None
+        self._ranks: dict[int, int] = {}  # connecting_rank memo, by twist
 
     @classmethod
     def zero(cls, f1: SplittingType, f2: SplittingType, variable: str = "z") -> "ExtCocycle":
@@ -269,22 +270,16 @@ def _connecting_int_rows(e: ExtCocycle, m: int):
 
 
 def connecting_rank(e: ExtCocycle, m: int) -> int:
-    """Exact rank of the connecting map at twist m (fast integer route)."""
-    rows, nrows, ncols = _connecting_int_rows(e, m)
-    if nrows == 0 or ncols == 0:
-        return 0
-    if nrows > ncols:
-        # eliminate the thin orientation: fewer rows through the pivot queue
-        per_col: dict[int, list] = {}
-        for ridx, (cols, vals) in enumerate(rows):
-            for c, v in zip(cols, vals):
-                per_col.setdefault(c, []).append((ridx, v))
-        rows = [
-            ([p for p, _ in pairs], [v for _, v in pairs])
-            for pairs in (sorted(per_col[c]) for c in sorted(per_col))
-        ]
-        ncols = nrows
-    return kernels.rank_rows(rows, ncols, stop_at=min(nrows, ncols))
+    """Exact rank of the connecting map at twist m, memoized on the cocycle.
+
+    min(rows, cols) bounds the rank, so kernels.rank_rows certifies a maximal
+    rank modulo a prime and eliminates exactly only below it.
+    """
+    rank = e._ranks.get(m)
+    if rank is None:
+        rows, nrows, ncols = _connecting_int_rows(e, m)
+        rank = e._ranks[m] = kernels.rank_rows(rows, ncols, stop_at=min(nrows, ncols))
+    return rank
 
 
 def connecting_rank_profile(e: ExtCocycle) -> list[tuple[int, int, int, int]]:

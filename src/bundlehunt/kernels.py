@@ -1,4 +1,4 @@
-"""Sparse fraction-free integer elimination.
+"""Sparse fraction-free integer elimination, screened by a rank modulo a prime.
 
 A sparse row is a pair (cols, vals) of parallel lists: strictly increasing
 column indices and the nonzero integer entries sitting there.  Elimination is
@@ -6,12 +6,22 @@ fraction free: to cancel the leading entry of one row against another we form
 (p/g)*row - (q/g)*pivot with g = gcd(p, q), then strip the content of the
 result, so all intermediate values stay integers of moderate size.  This is
 the hot kernel behind every rank, kernel and determinant computation.
+
+A rank with a proven a-priori bound is first computed over F_P, where it is
+cheap: for an integer matrix, rank over F_P <= rank over Q <= the bound, so a
+rank mod P that reaches the bound is the exact answer.  Only when it falls
+short does the exact elimination run.
 """
 
 import heapq
+from array import array
 from math import gcd
 
 BACKEND = "python"  # the only backend; named in benchmark reports
+
+P = 1048573  # the largest prime below 2**20
+_SLOT = 64  # bits per packed column in rank_mod_p
+_MASK = (1 << _SLOT) - 1
 
 
 def _strip(cols, vals):
@@ -112,8 +122,79 @@ def echelon(rows, ncols, stop_at=None):
     return pivots
 
 
+def rank_mod_p(rows, ncols, stop_at=None):
+    """Rank over F_P of the sparse integer matrix given by rows, capped at stop_at.
+
+    Each row is packed into one Python int, column c in the 64-bit slot at
+    bit 64*c, so a row operation row += f * neg_pivot is a single big-int
+    multiply-add.  Rows are reduced in turn against the pivots found so far,
+    in the order found (each pivot row is zero at the earlier pivot columns),
+    and a row left nonzero mod P becomes a pivot: reduced mod P, scaled to -1
+    at its first nonzero column and stored as neg_pivot.  Slots stay
+    nonnegative: a slot starts below P and each of its at most ncols
+    reductions adds f * (slot of neg_pivot) <= (P - 1)**2, so it stays below
+    ncols * P**2 < 2**64 and no slot carries into the next.  Only the pivot
+    column's slot is read back, as ((row >> 64*col) & mask) % P.
+    """
+    if ncols * P * P >= 1 << _SLOT:
+        raise ValueError(f"{ncols} columns overflow the packed slots")
+    limit = ncols if stop_at is None else min(stop_at, ncols)
+    nbytes = ncols * _SLOT // 8
+    pivots = []  # (bit offset of the pivot column, neg_pivot)
+    for cols, vals in rows:
+        if len(pivots) >= limit:
+            break
+        row = 0
+        for c, v in zip(cols, vals):
+            row += (v % P) << (_SLOT * c)
+        for shift, neg in pivots:
+            f = ((row >> shift) & _MASK) % P
+            if f:
+                row += f * neg
+        if not row:
+            continue
+        slots = memoryview(row.to_bytes(nbytes, "little")).cast("Q")
+        for col, lead in enumerate(slots):
+            lead %= P
+            if lead:
+                break
+        else:
+            continue
+        scale = P - pow(lead, -1, P)
+        neg = array("Q", [s * scale % P for s in slots])
+        pivots.append((_SLOT * col, int.from_bytes(neg.tobytes(), "little")))
+    return len(pivots)
+
+
+def _transpose(rows):
+    """Sparse rows of the transpose; columns with no entry are dropped."""
+    per_col: dict[int, list] = {}
+    for ridx, (cols, vals) in enumerate(rows):
+        for c, v in zip(cols, vals):
+            per_col.setdefault(c, []).append((ridx, v))
+    return [
+        ([r for r, _ in pairs], [v for _, v in pairs])
+        for pairs in (per_col[c] for c in sorted(per_col))
+    ]
+
+
 def rank_rows(rows, ncols, stop_at=None):
-    """Rank of the sparse integer matrix given by rows."""
+    """Rank of the sparse integer matrix given by rows.
+
+    stop_at: a proven a-priori rank bound (e.g. min of the matrix
+    dimensions).  With one, the rank mod P is tried first and returned when it
+    reaches stop_at; otherwise exact elimination runs, on the transpose when
+    that has fewer rows, and halts at stop_at pivots.  Without one, exact
+    elimination runs directly.
+    """
+    if stop_at is None:
+        return len(echelon(rows, ncols))
+    rows = list(rows)
+    if rank_mod_p(rows, ncols, stop_at) == stop_at:
+        return stop_at
+    if len(rows) > ncols:
+        # eliminate the thin orientation: fewer rows through the pivot queue
+        rows, ncols = _transpose(rows), len(rows)
     return len(echelon(rows, ncols, stop_at))
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_cocycle, random_splitting
+from bundlehunt import ext1, kernels
 from bundlehunt.errors import InvalidCocycleError
 from bundlehunt.exactalg import LaurentPoly
 from bundlehunt.ext1 import (
@@ -159,6 +160,42 @@ def test_connecting_rank_matches_matrix_rank(rng):
                 assert len(rows) == nrows
                 for t, row in enumerate(rows):
                     assert_positive_multiple(row, ncols, dense.row(t))
+
+
+def test_connecting_rank_falls_back_when_the_rank_drops_mod_p(monkeypatch):
+    # the 1 x 1 map [P] has rank 1 over Q and 0 mod P
+    e = ExtCocycle([-2], [0], [LaurentPoly("z", {1: kernels.P})])
+    rows, nrows, ncols = _connecting_int_rows(e, 0)
+    assert (nrows, ncols) == (1, 1) and kernels.rank_mod_p(rows, ncols) == 0
+    calls = []
+    echelon = kernels.echelon
+    monkeypatch.setattr(kernels, "echelon", lambda *a: calls.append(a) or echelon(*a))
+    assert connecting_rank(e, 0) == 1
+    assert calls
+
+
+def test_tall_maximal_rank_needs_no_exact_elimination(monkeypatch):
+    # 7 target classes, 2 source monomials: the bound is 2, the smaller side
+    e = ExtCocycle([-8], [1], [LaurentPoly("z", {0: 3, 1: -1, 2: 2, 5: 7, 7: 1})])
+    dense = connecting_map(e, 0)
+    assert (dense.rows, dense.cols, dense.rank()) == (7, 2, 2)
+
+    def refuse(*args):
+        raise AssertionError("exact elimination ran on a maximal-rank map")
+
+    monkeypatch.setattr(kernels, "echelon", refuse)
+    assert connecting_rank(e, 0) == 2
+
+
+def test_connecting_ranks_are_built_once_per_twist(monkeypatch, rng):
+    built = []
+    build = ext1._connecting_int_rows
+    monkeypatch.setattr(ext1, "_connecting_int_rows", lambda e, m: built.append(m) or build(e, m))
+    e = random_cocycle(rng, SplittingType([-5, -3]), SplittingType([3, 1]))
+    splitting_of_extension(e)
+    is_hn_top(e)
+    assert sorted(built) == sorted(set(built))
+    assert set(relevant_twists(e)) <= set(built)
 
 
 def test_rational_coefficients_same_classification(rng):

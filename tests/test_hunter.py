@@ -11,6 +11,7 @@ from bundlehunt.errors import (
     InvalidRequestError,
     UnsupportedCaseError,
 )
+from bundlehunt import hunter
 from bundlehunt.exactalg import LaurentPoly
 from bundlehunt.ext1 import ExtCocycle
 from bundlehunt.hunter import (
@@ -29,7 +30,10 @@ from bundlehunt.qbundle import (
     BigradedEta,
     ConstantBundleDesc,
     HilbertParams,
+    check_natural,
+    cohomology_table,
     hilbert_params,
+    square_window,
 )
 
 F = Fraction
@@ -132,6 +136,42 @@ def test_genericity_check_trivial_ext_group():
     eta = BigradedEta(ExtCocycle.zero(f1, f2, "w"), ExtCocycle.zero(f1, f2, "w"))
     desc = ConstantBundleDesc(1, 1, f1, f2, eta)
     assert genericity_check(desc).ok
+
+
+# Maximal ranks at n = 1 and n = -2, yet not natural: normalized column 2 is
+# O + O(-1)^3 + O(-2) instead of O(-1)^5.
+GENERIC_NOT_NATURAL_PARAMS = HilbertParams(F(3, 2), F(1, 2), F(5, 4), 2)
+
+
+def generic_not_natural_eta():
+    f1, f2 = SplittingType([-3]), SplittingType([2])
+    eta0 = ExtCocycle(f1, f2, [LaurentPoly("w", {-1: -1, 0: -1, 1: -8, 2: -5})], "w")
+    eta1 = ExtCocycle(f1, f2, [LaurentPoly("w", {-1: -1, 0: -1, 1: -8, 2: 9})], "w")
+    return BigradedEta(eta0, eta1)
+
+
+def test_genericity_report_does_not_prove_naturality():
+    eta = generic_not_natural_eta()
+    desc = ConstantBundleDesc(1, 1, eta.eta0.f1, eta.eta0.f2, eta, shift=(1, 0))
+    assert hilbert_params(desc) == GENERIC_NOT_NATURAL_PARAMS
+    assert genericity_check(desc).ok
+    nat = check_natural(cohomology_table(desc, square_window(2)), GENERIC_NOT_NATURAL_PARAMS)
+    assert {(1, 0), (2, 0)} <= {(n, m) for n, m, _ in nat.violations}
+
+
+def test_hunt_resamples_a_generic_sample_that_is_not_natural(monkeypatch):
+    draws = []
+
+    def first_not_natural(f1, f2, bound, rng):
+        draws.append(sample_eta(f1, f2, bound, rng))
+        return generic_not_natural_eta() if len(draws) == 1 else draws[-1]
+
+    monkeypatch.setattr(hunter, "sample_eta", first_not_natural)
+    cert = hunt(HuntRequest(GENERIC_NOT_NATURAL_PARAMS, seed=4, verify_window=3))
+    assert cert.resamples == 1
+    assert cert.desc.eta == draws[1]
+    assert cert.table_digest.natural
+    assert verify_certificate(cert).ok
 
 
 def test_hunt_example_instance():

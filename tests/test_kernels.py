@@ -66,6 +66,67 @@ def test_early_stop_matches_full_rank(rng):
         assert stopped == full
 
 
+def rank_mod_p_reference(rows, ncols):
+    """Dense Gaussian elimination over F_P, the independent oracle."""
+    p = kernels.P
+    dense = []
+    for cols, vals in rows:
+        row = [0] * ncols
+        for c, v in zip(cols, vals):
+            row[c] = v % p
+        dense.append(row)
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(dense)) if dense[r][col]), None)
+        if piv is None:
+            continue
+        dense[rank], dense[piv] = dense[piv], dense[rank]
+        inv = pow(dense[rank][col], -1, p)
+        prow = [x * inv % p for x in dense[rank]]
+        for r in range(rank + 1, len(dense)):
+            f = dense[r][col]
+            if f:
+                dense[r] = [(x - f * y) % p for x, y in zip(dense[r], prow)]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_matches_reference_and_bounds_exact_rank(rng):
+    p = kernels.P
+    for _ in range(150):
+        nrows = rng.randint(1, 12)
+        ncols = rng.randint(1, 12)
+        rows = random_rows(rng, nrows, ncols, density=0.5)
+        exact = kernels.rank_rows(rows, ncols)
+        # small entries: a drop mod P needs P to divide every maximal minor
+        assert kernels.rank_mod_p(rows, ncols) == exact == rank_mod_p_reference(rows, ncols)
+        # multiples of P (and P + 1, -P - 1) mixed in: the rank mod P may drop
+        mixed = [
+            (cols, [v * rng.choice([1, 1, p, -p, p + 1, -p - 1]) for v in vals])
+            for cols, vals in rows
+        ]
+        got = kernels.rank_mod_p(mixed, ncols)
+        assert got == rank_mod_p_reference(mixed, ncols)
+        assert got <= kernels.rank_rows(mixed, ncols)
+        stop = rng.randint(0, min(nrows, ncols))
+        assert kernels.rank_mod_p(mixed, ncols, stop) == min(got, stop)
+
+
+def test_rank_below_the_bound_mod_p_falls_back_to_exact(monkeypatch):
+    p = kernels.P
+    # det = P: rank 2 over Q, rank 1 mod P
+    rows = [([0, 1], [1, 1]), ([0, 1], [1, 1 + p])]
+    assert kernels.rank_mod_p(rows, 2) == 1
+    calls = []
+    echelon = kernels.echelon
+    monkeypatch.setattr(kernels, "echelon", lambda *a: calls.append(a) or echelon(*a))
+    assert kernels.rank_rows(rows, 2, stop_at=2) == 2
+    assert calls
+    calls.clear()
+    assert kernels.rank_rows([([0, 1], [1, 2]), ([0, 1], [3, 4])], 2, stop_at=2) == 2
+    assert not calls
+
+
 def test_det_small_cases():
     assert kernels.det_int([]) == 1
     assert kernels.det_int([[7]]) == 7

@@ -3,10 +3,12 @@
 Subcommands: hunt (construct and certify a bundle), table (emit a cohomology
 table from a certificate), split (splitting type of a transition matrix),
 ext-classify (splitting type and genericity of an extension class), verify
-(recheck a certificate).  Exit codes are stable:
+(recheck a certificate).  Exit codes are stable, and every failure prints
+one line on stderr:
 
     0  success
-    2  invalid-request     (gamma <= 0, rank < 2, integrality violations)
+    2  invalid-request     (gamma <= 0, rank < 2, integrality violations,
+                            a negative --window)
     3  unsupported-case    (alpha and beta both integral)
     4  genericity-exhausted
     5  verification-failed (a certificate that does not check out)
@@ -51,8 +53,15 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are parse errors (exit 6, one line)."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bundlehunt",
         description="Construct and verify natural-cohomology bundles on P1 x P1.",
     )
@@ -180,13 +189,18 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_OK
     for f in report.failures:
-        print(f"FAIL {f.stage} at {f.location}: {f.detail}", file=sys.stderr)
+        print(f"FAIL {f.stage} at {f.location}: {f.detail}")
+    first = report.failures[0]
+    stages = sorted({f.stage for f in report.failures})
+    print(
+        f"verification-failed: {len(report.failures)} check(s) failed ({', '.join(stages)}); "
+        f"first: {first.stage} at {first.location}: {first.detail}",
+        file=sys.stderr,
+    )
     return EXIT_VERIFICATION_FAILED
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "hunt": _cmd_hunt,
         "table": _cmd_table,
@@ -195,6 +209,7 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -27,8 +27,10 @@ def rat_from_str(s: str) -> Fraction:
     if not s or any(ch in s for ch in ".eE"):
         raise ValueError(f"not an exact rational: {s!r}")
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator: {s!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

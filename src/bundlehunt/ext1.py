@@ -35,7 +35,7 @@ def entry_window(a_i: int, b_j: int) -> tuple[int, int]:
 class ExtCocycle:
     """Matrix of Cech H^1 classes representing a point of Ext^1(F2, F1)."""
 
-    __slots__ = ("f1", "f2", "variable", "_entries", "_int_terms", "_ranks")
+    __slots__ = ("f1", "f2", "variable", "_entries", "_int_terms", "_packed", "_ranks")
 
     def __init__(
         self,
@@ -74,6 +74,7 @@ class ExtCocycle:
         self.variable = variable
         self._entries = tuple(flat)
         self._int_terms = None
+        self._packed = None
         self._ranks: dict[int, int] = {}  # connecting_rank memo, by twist
 
     @classmethod
@@ -240,8 +241,8 @@ def _connecting_int_rows(e: ExtCocycle, m: int):
     One row per target class, in the order of connecting_map, empty rows
     included.  Row t is a positive multiple of row t of connecting_map (one
     scalar per F1 summand clears the denominators), which changes no rank.
-    This is the hot path behind every cohomology count, so entries go
-    straight to integers.
+    The staircase chains and every exact connecting rank start here, so
+    entries go straight to integers.
     """
     col_sizes = [max(b + m + 1, 0) for b in e.f2.components]
     col_offs = [0, *accumulate(col_sizes)]
@@ -269,14 +270,102 @@ def _connecting_int_rows(e: ExtCocycle, m: int):
     return rows, len(rows), col_offs[-1]
 
 
+def _pack_entry(poly: LaurentPoly, hi: int):
+    """poly's coefficients mod P packed in one int, w^exp in the slot hi - exp.
+
+    None when P divides a denominator.
+    """
+    packed = 0
+    for exp, c in poly.terms():
+        q = c.denominator
+        if q == 1:
+            v = c.numerator % kernels.P
+        elif q % kernels.P:
+            v = c.numerator * pow(q, -1, kernels.P) % kernels.P
+        else:
+            return None
+        packed |= v << (kernels.SLOT * (hi - exp))
+    return packed
+
+
+def _packed_term_table(e: ExtCocycle):
+    """Per-entry packed coefficients mod P, cached on the cocycle.
+
+    Entry (i, j) is one int with the coefficient of w^exp in slot hi - exp,
+    hi = -a_i - 1 the top of the entry's support window.  False when P divides
+    a denominator: the cocycle then has no image mod P.
+    """
+    table = e._packed
+    if table is None:
+        r = e.f2.rank
+        table = [
+            _pack_entry(e.entry(i, j), -a - 1)
+            for i, a in enumerate(e.f1.components)
+            for j in range(r)
+        ]
+        if None in table:
+            table = False
+        e._packed = table
+    return table
+
+
+def connecting_rows_mod_p(e: ExtCocycle, m: int):
+    """The connecting map at twist m as rows packed mod P for kernels.rank_mod_p.
+
+    One int per target class, in the order of connecting_map, columns
+    contiguous.  With R_i = -a_i - m - 1 target classes and W_j = b_j + m + 1
+    source monomials, column k of row t in block (i, j) is the coefficient of
+    w^(t + m - k), which sits in slot R_i - t + k of the packed entry G_ij, so
+    the block row is (G_ij >> 64*(R_i - t)) & mask(W_j), shifted to the
+    block's column offset.  None when the cocycle has no image mod P.
+
+    Why a rank mod P certifies: a coefficient p/q with P not dividing q lies
+    in Z_(P), and reducing mod P is a ring map Z_(P) -> F_P, so a k x k minor
+    that is nonzero mod P is nonzero over Q.  Hence rank mod P <= rank over
+    Q <= min(rows, cols), and a rank mod P that reaches min(rows, cols)
+    proves the rank over Q.
+    """
+    table = _packed_term_table(e)
+    if table is False:
+        return None
+    slot = kernels.SLOT
+    col_sizes = [max(b + m + 1, 0) for b in e.f2.components]
+    col_offs = [0, *accumulate(col_sizes)]
+    r = e.f2.rank
+    rows = []
+    for i, a in enumerate(e.f1.components):
+        hrows = -a - m - 1
+        if hrows <= 0:
+            continue
+        blocks = [
+            (g, (1 << slot * w) - 1, slot * off)
+            for g, w, off in zip(table[i * r : (i + 1) * r], col_sizes, col_offs)
+            if g and w
+        ]
+        for shift in range(slot * (hrows - 1), -1, -slot):
+            row = 0
+            for g, mask, off in blocks:
+                row |= ((g >> shift) & mask) << off
+            rows.append(row)
+    return rows
+
+
 def connecting_rank(e: ExtCocycle, m: int) -> int:
     """Exact rank of the connecting map at twist m, memoized on the cocycle.
 
-    min(rows, cols) bounds the rank, so kernels.rank_rows certifies a maximal
-    rank modulo a prime and eliminates exactly only below it.
+    min(rows, cols) bounds the rank, so a rank mod P that reaches it is the
+    answer (connecting_rows_mod_p says why); only a map whose rank mod P falls
+    short, or a cocycle with no image mod P, is eliminated exactly.
     """
     rank = e._ranks.get(m)
     if rank is None:
+        packed = connecting_rows_mod_p(e, m)
+        if packed is not None:
+            ncols = h_split(e.f2, m)[0]
+            bound = min(len(packed), ncols)
+            if kernels.rank_mod_p(packed, ncols, bound) == bound:
+                e._ranks[m] = bound
+                return bound
         rows, nrows, ncols = _connecting_int_rows(e, m)
         rank = e._ranks[m] = kernels.rank_rows(rows, ncols, stop_at=min(nrows, ncols))
     return rank

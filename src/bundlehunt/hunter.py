@@ -5,9 +5,12 @@ that alpha lands in (0,1); solve the linear system for (r1, r2, d1, d2);
 build the fiber type and the two natural pushforward bundles; sample integer
 extension data until the pushforward connecting maps at n = 1 and n = -2
 have maximal rank on every relevant twist and the cohomology table is
-natural on the verified window; then emit a certificate.  The maximal ranks
-at n = 1 and n = -2 are a screen, not a proof of naturality: some samples
-pass them yet fail the table, and those are resampled too.
+natural on the verified window; then emit a certificate.  Those two maps
+are the staircase's base pair A = c_eta0(m), B = c_eta1(m) stacked as
+[A; B] and set side by side as [B | A], up to a permutation, so their ranks
+are certified from A and B alone (genericity_check).  The maximal ranks at
+n = 1 and n = -2 are a screen, not a proof of naturality: some samples pass
+them yet fail the table, and those are resampled too.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import ext1, kernels
 from .errors import (
     GenericityExhaustedError,
     InvalidRequestError,
@@ -24,8 +28,8 @@ from .errors import (
     VerificationFailedError,
 )
 from .exactalg import LaurentPoly
-from .ext1 import ExtCocycle, connecting_rank_profile, entry_window
-from .p1 import SplittingType, natural_type
+from .ext1 import ExtCocycle, connecting_rows_mod_p, entry_window, twist_window
+from .p1 import SplittingType, h_split, natural_type
 from .qbundle import (
     BigradedEta,
     CechOracle,
@@ -191,14 +195,19 @@ def sample_eta(
     return BigradedEta(eta0, eta1)
 
 
-def _rank_records(e: ExtCocycle) -> tuple[TwistRankRecord, ...]:
-    return tuple(
-        TwistRankRecord(m, rk, rows, cols) for m, rk, rows, cols in connecting_rank_profile(e)
-    )
-
-
 def genericity_check(desc: ConstantBundleDesc) -> GenericityReport:
     """Exact ranks of c_eta(1, m) and c_eta(-2, m) on every relevant twist m.
+
+    Up to a permutation of rows or of columns, which changes no rank, these
+    maps are the staircase's base pair A = c_eta0(m), B = c_eta1(m) stacked
+    as [A; B] (2R x C) and side by side as [B | A] (R x 2C).  So per twist A
+    and B are built once as rows packed mod P (ext1.connecting_rows_mod_p),
+    and kernels.rank_mod_p screens both against min(rows, cols): every entry
+    lies in Z_(P), so a minor nonzero mod P is nonzero over Q, and rank mod
+    P <= rank over Q <= min(rows, cols); a screen that reaches the bound
+    proves the rank.  Only one that falls short, or extension data with a
+    denominator divisible by P, gets the exact
+    connecting_rank(pushforward_cocycle(desc, n), m).
 
     The report is ok when all of them are maximal.  That is what it checks
     and all it proves: it does not certify the maps for other n.  A
@@ -206,10 +215,30 @@ def genericity_check(desc: ConstantBundleDesc) -> GenericityReport:
     pins one), so hunt proves naturality on its window with the cohomology
     table.
     """
-    return GenericityReport(
-        plus=_rank_records(pushforward_cocycle(desc, 1)),
-        minus=_rank_records(pushforward_cocycle(desc, -2)),
-    )
+    eta0, eta1 = desc.eta.eta0, desc.eta.eta1
+    pushed: dict[int, ExtCocycle] = {}  # built only for the exact fallback
+
+    def rank(n: int, m: int, rows, nrows: int, ncols: int) -> int:
+        bound = min(nrows, ncols)
+        if rows is not None and kernels.rank_mod_p(rows, ncols, bound) == bound:
+            return bound
+        if n not in pushed:
+            pushed[n] = pushforward_cocycle(desc, n)
+        return ext1.connecting_rank(pushed[n], m)
+
+    plus, minus = [], []
+    for m in twist_window(desc.f1, desc.f2):
+        r, c = h_split(desc.f1, m)[1], h_split(desc.f2, m)[0]
+        a = connecting_rows_mod_p(eta0, m)
+        b = connecting_rows_mod_p(eta1, m)
+        stacked = side_by_side = None
+        if a is not None and b is not None:
+            stacked = a + b
+            shift = kernels.SLOT * c
+            side_by_side = [y | x << shift for x, y in zip(a, b)]
+        plus.append(TwistRankRecord(m, rank(1, m, stacked, 2 * r, c), 2 * r, c))
+        minus.append(TwistRankRecord(m, rank(-2, m, side_by_side, r, 2 * c), r, 2 * c))
+    return GenericityReport(plus=tuple(plus), minus=tuple(minus))
 
 
 def _digest(table: CohomologyTable, natural: bool, window: int) -> TableDigest:
@@ -284,18 +313,36 @@ class VerifyReport:
     oracle_used: bool
 
 
+def _first_mismatch(stated: tuple, got: tuple) -> Optional[str]:
+    """Where stated genericity records differ from recomputed ones, or None."""
+
+    def row(r: TwistRankRecord) -> list:
+        return [r.m, r.rank, r.rows, r.cols]
+
+    for a, b in zip(stated, got):
+        if a != b:
+            return f"stated {row(a)} != recomputed {row(b)}"
+    if len(stated) != len(got):
+        return f"stated {len(stated)} twists != recomputed {len(got)}"
+    return None
+
+
 def verify_certificate(
     cert: Certificate, window: Optional[int] = None, use_oracle: bool = False
 ) -> VerifyReport:
     """Recompute everything a certificate claims and report mismatches.
 
-    Checks, in order: parameter recovery, genericity ranks, natural
-    cohomology with chi = rank * p at every cell of the window, and (when
-    requested) cell-by-cell agreement with the Cech oracle.
+    Checks, in order: parameter recovery; the genericity ranks (every one
+    maximal, and the stated rows equal to the recomputed ones); natural
+    cohomology with chi = rank * p at every cell of the window; the stated
+    table digest (cells, natural, region counts) when the window is the
+    digest's own; and (when requested) cell-by-cell agreement with the Cech
+    oracle.  A negative window raises InvalidRequestError.
     """
     failures: list[VerifyFailure] = []
     desc = cert.desc
     w = cert.verified_window if window is None else window
+    cells = square_window(w)
     recovered = hilbert_params(desc)
     if recovered != cert.params:
         failures.append(
@@ -306,10 +353,25 @@ def verify_certificate(
         failures.append(
             VerifyFailure("genericity", (n, m), f"connecting map c({n},{m}) is rank deficient")
         )
-    table = cohomology_table(desc, square_window(w))
+    for n, stated, got in (
+        (1, cert.genericity.plus, report.plus),
+        (-2, cert.genericity.minus, report.minus),
+    ):
+        mismatch = _first_mismatch(stated, got)
+        if mismatch:
+            failures.append(VerifyFailure("genericity", (n,), mismatch))
+    table = cohomology_table(desc, cells)
     nat = check_natural(table, cert.params)
     for n, m, reason in nat.violations:
         failures.append(VerifyFailure("natural", (n, m), reason))
+    if w == cert.table_digest.window:
+        digest = _digest(table, nat.ok, w)
+        for field in ("cells", "natural", "region_counts"):
+            stated, got = getattr(cert.table_digest, field), getattr(digest, field)
+            if stated != got:
+                failures.append(
+                    VerifyFailure("digest", (field,), f"stated {stated} != recomputed {got}")
+                )
     if use_oracle:
         oracle = CechOracle(desc)
         for n, m, cell in table.iter_cells():

@@ -1,4 +1,4 @@
-"""Sparse fraction-free integer elimination, screened by a rank modulo a prime.
+"""Sparse fraction-free integer elimination, and ranks modulo a prime.
 
 A sparse row is a pair (cols, vals) of parallel lists: strictly increasing
 column indices and the nonzero integer entries sitting there.  Elimination is
@@ -7,21 +7,21 @@ fraction free: to cancel the leading entry of one row against another we form
 result, so all intermediate values stay integers of moderate size.  This is
 the hot kernel behind every rank, kernel and determinant computation.
 
-A rank with a proven a-priori bound is first computed over F_P, where it is
-cheap: for an integer matrix, rank over F_P <= rank over Q <= the bound, so a
-rank mod P that reaches the bound is the exact answer.  Only when it falls
-short does the exact elimination run.
+rank_mod_p computes a rank over F_P from rows packed into one Python int
+each.  Callers with a proven rank bound (ext1.connecting_rank and
+hunter.genericity_check) pack their rows mod P themselves and try it first:
+rank over F_P <= rank over Q <= the bound, so a rank mod P that reaches the
+bound is the exact answer, and only one that falls short goes to rank_rows.
 """
 
 import heapq
-from array import array
 from math import gcd
 
 BACKEND = "python"  # the only backend; named in benchmark reports
 
-P = 1048573  # the largest prime below 2**20
-_SLOT = 64  # bits per packed column in rank_mod_p
-_MASK = (1 << _SLOT) - 1
+P = 1048573  # 2**20 - 3, the largest prime below 2**20
+SLOT = 64  # bits per packed column in rank_mod_p
+_MASK = (1 << SLOT) - 1
 
 
 def _strip(cols, vals):
@@ -123,46 +123,51 @@ def echelon(rows, ncols, stop_at=None):
 
 
 def rank_mod_p(rows, ncols, stop_at=None):
-    """Rank over F_P of the sparse integer matrix given by rows, capped at stop_at.
+    """Rank over F_P of a matrix given as packed rows, capped at stop_at.
 
-    Each row is packed into one Python int, column c in the 64-bit slot at
-    bit 64*c, so a row operation row += f * neg_pivot is a single big-int
-    multiply-add.  Rows are reduced in turn against the pivots found so far,
-    in the order found (each pivot row is zero at the earlier pivot columns),
-    and a row left nonzero mod P becomes a pivot: reduced mod P, scaled to -1
-    at its first nonzero column and stored as neg_pivot.  Slots stay
-    nonnegative: a slot starts below P and each of its at most ncols
-    reductions adds f * (slot of neg_pivot) <= (P - 1)**2, so it stays below
-    ncols * P**2 < 2**64 and no slot carries into the next.  Only the pivot
-    column's slot is read back, as ((row >> 64*col) & mask) % P.
+    A packed row is one Python int holding column c in the 64-bit slot at
+    bit 64*c, every slot in [0, P), so a row operation row += f * pivot is a
+    single big-int multiply-add.  Rows are reduced in turn against the pivots
+    found so far, in the order found, with f = -(row's slot) / (pivot's lead)
+    mod P.  The reduced row's slots at pivot columns are then 0 mod P and are
+    cleared, so its lowest nonzero slot, read with bit operations, is its
+    lead (a slot that is a nonzero multiple of P is cleared too), and a row
+    left nonzero becomes a pivot.  Its slots are first folded below 2**21
+    with slot -> (slot mod 2**20) + 3 * (slot >> 20), three times in every
+    slot at once; since P = 2**20 - 3 this keeps each slot's residue.  Slots
+    stay nonnegative and no slot carries into the next: a row slot starts
+    below P and each of its at most ncols reductions adds
+    f * (pivot slot) < P * 2**21 < 2**41, so it stays below 2**64 for
+    ncols < 2**22.
     """
-    if ncols * P * P >= 1 << _SLOT:
+    if ncols >= 1 << 22:
         raise ValueError(f"{ncols} columns overflow the packed slots")
     limit = ncols if stop_at is None else min(stop_at, ncols)
-    nbytes = ncols * _SLOT // 8
-    pivots = []  # (bit offset of the pivot column, neg_pivot)
-    for cols, vals in rows:
+    ones = ((1 << SLOT * ncols) - 1) // _MASK  # 1 in every slot
+    low = ones * ((1 << 20) - 1)
+    high = ones * ((1 << SLOT - 20) - 1)
+    keep = (1 << SLOT * ncols) - 1  # the slots of columns without a pivot
+    pivots = []  # (bit offset of the pivot column, pivot row, -1/lead mod P)
+    for row in rows:
         if len(pivots) >= limit:
             break
-        row = 0
-        for c, v in zip(cols, vals):
-            row += (v % P) << (_SLOT * c)
-        for shift, neg in pivots:
-            f = ((row >> shift) & _MASK) % P
+        for shift, piv, scale in pivots:
+            f = ((row >> shift) & _MASK) * scale % P
             if f:
-                row += f * neg
-        if not row:
-            continue
-        slots = memoryview(row.to_bytes(nbytes, "little")).cast("Q")
-        for col, lead in enumerate(slots):
-            lead %= P
+                row += f * piv
+        row &= keep
+        while row:
+            shift = ((row & -row).bit_length() - 1) // SLOT * SLOT
+            lead = ((row >> shift) & _MASK) % P
             if lead:
                 break
+            row &= ~(_MASK << shift)
         else:
             continue
-        scale = P - pow(lead, -1, P)
-        neg = array("Q", [s * scale % P for s in slots])
-        pivots.append((_SLOT * col, int.from_bytes(neg.tobytes(), "little")))
+        for _ in range(3):
+            row = (row & low) + 3 * ((row >> 20) & high)
+        keep &= ~(_MASK << shift)
+        pivots.append((shift, row, P - pow(lead, -1, P)))
     return len(pivots)
 
 
@@ -179,19 +184,15 @@ def _transpose(rows):
 
 
 def rank_rows(rows, ncols, stop_at=None):
-    """Rank of the sparse integer matrix given by rows.
+    """Exact rank of the sparse integer matrix given by rows.
 
     stop_at: a proven a-priori rank bound (e.g. min of the matrix
-    dimensions).  With one, the rank mod P is tried first and returned when it
-    reaches stop_at; otherwise exact elimination runs, on the transpose when
-    that has fewer rows, and halts at stop_at pivots.  Without one, exact
-    elimination runs directly.
+    dimensions); elimination then runs on the transpose when that has fewer
+    rows, and halts at stop_at pivots.
     """
     if stop_at is None:
         return len(echelon(rows, ncols))
     rows = list(rows)
-    if rank_mod_p(rows, ncols, stop_at) == stop_at:
-        return stop_at
     if len(rows) > ncols:
         # eliminate the thin orientation: fewer rows through the pivot queue
         rows, ncols = _transpose(rows), len(rows)

@@ -424,6 +424,9 @@ def cohomology_table(
 
 
 def square_window(w: int) -> tuple[int, int, int, int]:
+    """The window [-w, w]^2; a negative half-width is refused, not read as empty."""
+    if w < 0:
+        raise InvalidRequestError(f"window half-width {w} must be nonnegative")
     return (-w, w, -w, w)
 
 

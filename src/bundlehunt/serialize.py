@@ -75,6 +75,14 @@ def _json_int(value: Any, name: str) -> int:
     return value
 
 
+def _window(value: Any, name: str) -> int:
+    """A window half-width: a nonnegative JSON integer."""
+    w = _json_int(value, name)
+    if w < 0:
+        raise ParseError(f"{name} must be nonnegative, got {w}")
+    return w
+
+
 def _int_list(data: Any, name: str) -> list:
     """A JSON list of integers."""
     if not isinstance(data, list):
@@ -209,21 +217,28 @@ def certificate_from_json(data: Any) -> Certificate:
             )
 
         digest = data.get("table_digest", {})
+        verified_window = _window(data.get("verified_window", 0), "verified_window")
+        natural = digest.get("natural", False)
+        if not isinstance(natural, bool):
+            raise ParseError(f"table_digest natural must be a boolean, got {json.dumps(natural)}")
+        counts = digest.get("region_counts", {})
+        if not isinstance(counts, dict):
+            raise ParseError("table_digest region_counts must be an object")
         return Certificate(
             params=params,
             desc=desc,
             genericity=GenericityReport(plus=records("n=1"), minus=records("n=-2")),
             table_digest=TableDigest(
-                window=_json_int(
-                    digest.get("window", data.get("verified_window", 0)), "table_digest window"
-                ),
+                window=_window(digest.get("window", verified_window), "table_digest window"),
                 cells=_json_int(digest.get("cells", 0), "table_digest cells"),
-                natural=bool(digest.get("natural", False)),
-                region_counts=dict(digest.get("region_counts", {})),
+                natural=natural,
+                region_counts={
+                    k: _json_int(v, f"region count {k}") for k, v in counts.items()
+                },
             ),
             seed=_json_int(data.get("seed", 0), "seed"),
             resamples=_json_int(data.get("resamples", 0), "resamples"),
-            verified_window=_json_int(data.get("verified_window", 0), "verified_window"),
+            verified_window=verified_window,
         )
     except ParseError:
         raise

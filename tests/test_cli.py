@@ -1,8 +1,16 @@
 """End-to-end command line checks, including exit codes and round trips."""
 
+import contextlib
+import functools
+import io
 import json
+import os
+import tempfile
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlehunt.cli import (
     EXIT_GENERICITY_EXHAUSTED,
@@ -14,7 +22,8 @@ from bundlehunt.cli import (
     main,
 )
 from bundlehunt import serialize
-from bundlehunt.qbundle import cohomology_table, square_window
+from bundlehunt.hunter import HuntRequest, hunt
+from bundlehunt.qbundle import HilbertParams, cohomology_table, square_window
 
 
 @pytest.fixture
@@ -197,10 +206,16 @@ def test_certificate_json_schema_round_trip(cert_path):
     assert again == data
 
 
-def _assert_parse_error(argv, capsys):
-    assert main(argv) == EXIT_PARSE_ERROR
+def _assert_exit(argv, code, capsys):
+    """main(argv) returns code and prints one line on stderr, returned."""
+    assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("parse error: ") and err.count("\n") == 1, err
+    assert err.count("\n") == 1, err
+    return err
+
+
+def _assert_parse_error(argv, capsys):
+    assert _assert_exit(argv, EXIT_PARSE_ERROR, capsys).startswith("parse error: ")
 
 
 def test_malformed_inputs_are_parse_errors(cert_path, tmp_path, capsys):
@@ -225,6 +240,8 @@ def test_malformed_inputs_are_parse_errors(cert_path, tmp_path, capsys):
         ("shift", [0, 0.5]),
         ("table_digest", {"window": 6.0, "cells": 169}),
         ("table_digest", {"window": 6, "cells": True}),
+        ("table_digest", {"window": 4, "cells": 81, "natural": "yes"}),
+        ("table_digest", {"window": 4, "cells": 81, "region_counts": {"H1R": 40.0}}),
         ("genericity", {"n=1": [[1.5, 0, 0, 0]]}),
     ]:
         data = json.loads(cert_path.read_text())
@@ -248,3 +265,130 @@ def test_malformed_inputs_are_parse_errors(cert_path, tmp_path, capsys):
         json.dumps({"variable": "z", "entries": [[[[0, "1"]], [[1.7, "1"]]], [[], [[0, "1"]]]]})
     )
     _assert_parse_error(["split", "--matrix", str(mfile)], capsys)
+
+
+def test_negative_windows_are_refused(cert_path, tmp_path, capsys):
+    for argv in (
+        ["verify", "--cert", str(cert_path), "--window", "-3"],
+        ["table", "--cert", str(cert_path), "--window", "-2"],
+    ):
+        assert _assert_exit(argv, EXIT_INVALID_REQUEST, capsys).startswith("invalid-request: ")
+    bad = tmp_path / "bad.json"
+    for key, value in [("verified_window", -1), ("table_digest", {"window": -1, "cells": 0})]:
+        data = json.loads(cert_path.read_text())
+        data[key] = value
+        bad.write_text(json.dumps(data))
+        _assert_parse_error(["verify", "--cert", str(bad)], capsys)
+
+
+def test_verify_checks_what_the_certificate_states(cert_path, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    data = json.loads(cert_path.read_text())
+    # the n=1 block cut to one row that states rank 0
+    m, _, rows, cols = data["genericity"]["n=1"][0]
+    data["genericity"]["n=1"] = [[m, 0, rows, cols]]
+    bad.write_text(json.dumps(data))
+    err = _assert_exit(["verify", "--cert", str(bad)], EXIT_VERIFICATION_FAILED, capsys)
+    assert "genericity" in err
+    for field, value in [("cells", 7), ("natural", False), ("region_counts", {"H1R": 81})]:
+        data = json.loads(cert_path.read_text())
+        data["table_digest"][field] = value
+        bad.write_text(json.dumps(data))
+        err = _assert_exit(["verify", "--cert", str(bad)], EXIT_VERIFICATION_FAILED, capsys)
+        assert "digest" in err and field in err
+        # the digest describes its own window only
+        assert main(["verify", "--cert", str(bad), "--window", "2"]) == EXIT_OK
+        capsys.readouterr()
+
+
+# -- fuzzing every file reader and window flag --------------------------------------
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
+# small numbers only, so that every fuzzed input stays cheap to compute
+SMALL_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-6, 6)
+    | st.floats(-6, 6)
+    | st.sampled_from(["", "0", "1", "-1/2", "3/4", "1/0", "x", "w", "z", "H1R"])
+    | st.text(max_size=3),
+    _json_containers,
+    max_leaves=6,
+)
+
+
+def _mutate(data, doc):
+    """doc with one subtree nudged, replaced or deleted, drawn with hypothesis."""
+    if isinstance(doc, (dict, list)) and doc and data.draw(st.integers(0, 5)):
+        if isinstance(doc, dict):
+            key = data.draw(st.sampled_from(sorted(doc)))
+            if data.draw(st.integers(0, 5)) == 0:
+                return {k: v for k, v in doc.items() if k != key}
+            return {**doc, key: _mutate(data, doc[key])}
+        i = data.draw(st.integers(0, len(doc) - 1))
+        return doc[:i] + [_mutate(data, doc[i])] + doc[i + 1 :]
+    if isinstance(doc, int) and not isinstance(doc, bool) and data.draw(st.booleans()):
+        return doc + data.draw(st.integers(-2, 2))
+    return data.draw(SMALL_JSON)
+
+
+@functools.lru_cache(maxsize=1)
+def _fuzz_documents():
+    """Valid documents for every reader: certificate, cocycle, matrix."""
+    cert = hunt(HuntRequest(HilbertParams(F(1, 2), F(1, 2), F(1, 4), 2), verify_window=2))
+    return {
+        "cert": json.loads(serialize.dump_json(serialize.certificate_to_json(cert))),
+        "cocycle": {"f1": [-4], "f2": [0], "entries": [[[[1, "1"], [2, "-1/2"]]]]},
+        "matrix": {"variable": "z", "entries": [[[[1, "1"]], [[2, "1"]]], [[], [[-1, "1"]]]]},
+    }
+
+
+DOCUMENTED_EXITS = (
+    EXIT_OK,
+    EXIT_INVALID_REQUEST,
+    EXIT_UNSUPPORTED_CASE,
+    EXIT_GENERICITY_EXHAUSTED,
+    EXIT_VERIFICATION_FAILED,
+    EXIT_PARSE_ERROR,
+)
+READERS = [
+    ("split", "--matrix", "matrix"),
+    ("ext-classify", "--cocycle", "cocycle"),
+    ("verify", "--cert", "cert"),
+    ("table", "--cert", "cert"),
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_readers_end_in_a_documented_exit_code(data):
+    command, flag, kind = data.draw(st.sampled_from(READERS))
+    doc = _fuzz_documents()[kind]
+    how = data.draw(st.sampled_from(["mutate", "mutate", "mutate", "valid", "text"]))
+    if how == "text":
+        text = data.draw(st.text(max_size=20))
+    else:
+        text = json.dumps(_mutate(data, doc) if how == "mutate" else doc)
+    flags = []
+    if command in ("verify", "table"):
+        window = data.draw(st.none() | st.integers(-3, 2).map(str) | st.sampled_from(["x", ""]))
+        if window is not None:
+            flags += ["--window", window]
+    if command == "table":
+        flags += ["--format", data.draw(st.sampled_from(["text", "csv", "json"]))]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, flag, path, *flags])
+    message = err.getvalue()
+    assert code in DOCUMENTED_EXITS, (command, flags, text, message)
+    if code == EXIT_OK:
+        assert message == ""
+    else:
+        assert message.count("\n") == 1 and message.strip(), message

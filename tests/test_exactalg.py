@@ -38,6 +38,13 @@ def test_rational_rejects_inexact(bad):
         rat_from_str(bad)
 
 
+@pytest.mark.parametrize("bad", ["1/0", "0/0", "-3/00"])
+def test_rational_rejects_zero_denominator(bad):
+    # a ValueError, which every reader turns into a parse error
+    with pytest.raises(ValueError):
+        rat_from_str(bad)
+
+
 # -- Laurent polynomials -----------------------------------------------------
 
 coeffs = st.fractions(max_denominator=30)

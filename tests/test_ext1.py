@@ -16,6 +16,7 @@ from bundlehunt.ext1 import (
     assemble_transition,
     connecting_map,
     connecting_rank,
+    connecting_rows_mod_p,
     ext_dim,
     is_hn_top,
     relevant_twists,
@@ -162,11 +163,36 @@ def test_connecting_rank_matches_matrix_rank(rng):
                     assert_positive_multiple(row, ncols, dense.row(t))
 
 
+def test_packed_rows_are_the_connecting_map_mod_p(rng):
+    p, slot = kernels.P, kernels.SLOT
+    for _ in range(40):
+        f1 = random_splitting(rng, rng.randint(1, 3), -5, 0)
+        f2 = random_splitting(rng, rng.randint(1, 3), 0, 4)
+        e = random_cocycle(rng, f1, f2)
+        mixed = ExtCocycle(
+            f1, f2, [x * rng.choice([0, 1, F(1, 2), F(-1, 3), F(5, 7)]) for x in e.entries()]
+        )
+        for c in (e, mixed):
+            for m in range(-4, 5):
+                dense = connecting_map(c, m)
+                rows = connecting_rows_mod_p(c, m)
+                assert len(rows) == dense.rows
+                for t, row in enumerate(rows):
+                    assert row >> (slot * dense.cols) == 0
+                    want = dense.row(t)
+                    for k in range(dense.cols):
+                        v = want[k].numerator * pow(want[k].denominator, -1, p) % p
+                        assert (row >> (slot * k)) & ((1 << slot) - 1) == v
+    # an entry with denominator P has no image mod P
+    e = ExtCocycle([-4], [0], [LaurentPoly("z", {1: 1, 2: F(1, p)})])
+    assert connecting_rows_mod_p(e, 0) is None
+    assert connecting_rank(e, 0) == connecting_map(e, 0).rank()
+
+
 def test_connecting_rank_falls_back_when_the_rank_drops_mod_p(monkeypatch):
     # the 1 x 1 map [P] has rank 1 over Q and 0 mod P
     e = ExtCocycle([-2], [0], [LaurentPoly("z", {1: kernels.P})])
-    rows, nrows, ncols = _connecting_int_rows(e, 0)
-    assert (nrows, ncols) == (1, 1) and kernels.rank_mod_p(rows, ncols) == 0
+    assert connecting_rows_mod_p(e, 0) == [0] and kernels.rank_mod_p([0], 1) == 0
     calls = []
     echelon = kernels.echelon
     monkeypatch.setattr(kernels, "echelon", lambda *a: calls.append(a) or echelon(*a))
@@ -189,8 +215,8 @@ def test_tall_maximal_rank_needs_no_exact_elimination(monkeypatch):
 
 def test_connecting_ranks_are_built_once_per_twist(monkeypatch, rng):
     built = []
-    build = ext1._connecting_int_rows
-    monkeypatch.setattr(ext1, "_connecting_int_rows", lambda e, m: built.append(m) or build(e, m))
+    build = ext1.connecting_rows_mod_p
+    monkeypatch.setattr(ext1, "connecting_rows_mod_p", lambda e, m: built.append(m) or build(e, m))
     e = random_cocycle(rng, SplittingType([-5, -3]), SplittingType([3, 1]))
     splitting_of_extension(e)
     is_hn_top(e)

@@ -11,12 +11,15 @@ from bundlehunt.errors import (
     InvalidRequestError,
     UnsupportedCaseError,
 )
-from bundlehunt import hunter
+from conftest import random_desc
+from bundlehunt import ext1, hunter, kernels, qbundle, serialize
 from bundlehunt.exactalg import LaurentPoly
-from bundlehunt.ext1 import ExtCocycle
+from bundlehunt.ext1 import ExtCocycle, connecting_rank_profile
 from bundlehunt.hunter import (
     Certificate,
+    GenericityReport,
     HuntRequest,
+    TwistRankRecord,
     build_bundles,
     genericity_check,
     hunt,
@@ -33,6 +36,7 @@ from bundlehunt.qbundle import (
     check_natural,
     cohomology_table,
     hilbert_params,
+    pushforward_cocycle,
     square_window,
 )
 
@@ -136,6 +140,98 @@ def test_genericity_check_trivial_ext_group():
     eta = BigradedEta(ExtCocycle.zero(f1, f2, "w"), ExtCocycle.zero(f1, f2, "w"))
     desc = ConstantBundleDesc(1, 1, f1, f2, eta)
     assert genericity_check(desc).ok
+
+
+def reference_report(desc):
+    """Exact connecting ranks of the two pushforward cocycles, built via Gamma."""
+
+    def records(n):
+        e = pushforward_cocycle(desc, n)
+        return tuple(TwistRankRecord(*row) for row in connecting_rank_profile(e))
+
+    return GenericityReport(plus=records(1), minus=records(-2))
+
+
+def variants(rng, desc):
+    """desc with its extension data rescaled (by 1/2, 1/3 or P), given a
+    denominator P, zeroed or sparsified."""
+    eta0, eta1 = desc.eta.eta0, desc.eta.eta1
+    f1, f2 = desc.f1, desc.f2
+
+    def cocycle(entries):
+        return ExtCocycle(f1, f2, entries, "w")
+
+    def sparse(e):
+        return cocycle(
+            [
+                LaurentPoly("w", {x: c for x, c in p.terms() if rng.random() < 0.3})
+                for p in e.entries()
+            ]
+        )
+
+    out = {
+        "integer": (eta0, eta1),
+        # [B | A] rows then mix entries cleared by 2 with entries cleared by 3
+        "halves and thirds": (eta0.scale(F(1, 2)), eta1.scale(F(1, 3))),
+        "zero": (eta0.scale(0), eta1.scale(0)),
+        # B vanishes mod P but not over Q: maximal ranks fall short mod P
+        "eta1 times P": (eta0, eta1.scale(kernels.P)),
+        "sparse": (sparse(eta0), sparse(eta1)),
+    }
+    entries = list(eta1.entries())
+    nonzero = [i for i, p in enumerate(entries) if not p.is_zero]
+    if nonzero:
+        entries[nonzero[0]] = entries[nonzero[0]] * F(1, kernels.P)
+        out["denominator P"] = (eta0, cocycle(entries))
+    return {
+        name: ConstantBundleDesc(desc.r1, desc.r2, f1, f2, BigradedEta(a, b))
+        for name, (a, b) in out.items()
+    }
+
+
+def test_genericity_check_matches_pushforward_connecting_ranks(rng, monkeypatch):
+    fallbacks = []
+    exact = ext1.connecting_rank
+    monkeypatch.setattr(ext1, "connecting_rank", lambda e, m: fallbacks.append(m) or exact(e, m))
+    seen = {"defects": 0, "maximal positive": 0, "maximal after falling back": 0}
+    for _ in range(80):
+        desc = random_desc(rng, max_rank=4, comp_lo=-6, comp_hi=3)
+        for name, variant in variants(rng, desc).items():
+            fallbacks.clear()
+            report = genericity_check(variant)
+            fell_back = len(fallbacks)
+            assert report == reference_report(variant), name
+            records = report.plus + report.minus
+            if name == "denominator P":
+                assert fell_back == len(records)
+            elif name == "eta1 times P":
+                assert fell_back >= len(report.defects())
+                seen["maximal after falling back"] += fell_back - len(report.defects())
+            else:
+                # exactly the ranks short of their bound are recomputed exactly
+                assert fell_back == len(report.defects()), name
+            seen["defects"] += len(report.defects())
+            seen["maximal positive"] += sum(r.maximal and r.rank > 0 for r in records)
+    assert all(seen.values()), seen
+
+
+def test_generic_hunt_runs_no_exact_elimination_in_its_genericity_check(monkeypatch):
+    req = HuntRequest(HilbertParams(F(1, 3), F(0), F(2), 3), seed=2, verify_window=3)
+    want = serialize.certificate_to_json(hunt(req))
+    check = hunter.genericity_check
+
+    def refuse(*args):
+        raise AssertionError("exact elimination or a Gamma action in the genericity check")
+
+    def guarded(desc):
+        # the table stage eliminates exactly by design; only the check is guarded
+        with monkeypatch.context() as inner:
+            inner.setattr(kernels, "echelon", refuse)
+            inner.setattr(qbundle, "gamma_action", refuse)
+            return check(desc)
+
+    monkeypatch.setattr(hunter, "genericity_check", guarded)
+    assert serialize.certificate_to_json(hunt(req)) == want
 
 
 # Maximal ranks at n = 1 and n = -2, yet not natural: normalized column 2 is
@@ -254,6 +350,25 @@ def test_verify_certificate_detects_tampering():
     stages = {f.stage for f in report.failures}
     assert "genericity" in stages
     assert any(f.stage == "genericity" and f.location for f in report.failures)
+
+
+def test_verify_certificate_checks_what_it_states():
+    cert = hunt(HuntRequest(HilbertParams(F(1, 3), F(0), F(2), 3), seed=2, verify_window=3))
+    row = cert.genericity.plus[0]
+    digest = cert.table_digest
+    for stage, field, value in [
+        ("genericity", "genericity", replace(cert.genericity, plus=(replace(row, rank=0),))),
+        ("digest", "table_digest", replace(digest, cells=7)),
+        ("digest", "table_digest", replace(digest, natural=False)),
+        ("digest", "table_digest", replace(digest, region_counts={"H1R": 49})),
+    ]:
+        report = verify_certificate(replace(cert, **{field: value}))
+        assert not report.ok and {f.stage for f in report.failures} == {stage}, value
+    # the digest describes its own window only
+    moved = replace(cert, table_digest=replace(cert.table_digest, cells=7))
+    assert verify_certificate(moved, window=2).ok
+    with pytest.raises(InvalidRequestError):
+        verify_certificate(cert, window=-1)
 
 
 def test_verify_certificate_with_oracle():

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from bundlehunt import kernels
 
 
@@ -91,6 +93,12 @@ def rank_mod_p_reference(rows, ncols):
     return rank
 
 
+def packed(rows):
+    """Sparse integer rows packed for rank_mod_p: v mod P in slot c."""
+    p, slot = kernels.P, kernels.SLOT
+    return [sum((v % p) << (slot * c) for c, v in zip(cols, vals)) for cols, vals in rows]
+
+
 def test_rank_mod_p_matches_reference_and_bounds_exact_rank(rng):
     p = kernels.P
     for _ in range(150):
@@ -99,32 +107,54 @@ def test_rank_mod_p_matches_reference_and_bounds_exact_rank(rng):
         rows = random_rows(rng, nrows, ncols, density=0.5)
         exact = kernels.rank_rows(rows, ncols)
         # small entries: a drop mod P needs P to divide every maximal minor
-        assert kernels.rank_mod_p(rows, ncols) == exact == rank_mod_p_reference(rows, ncols)
+        assert kernels.rank_mod_p(packed(rows), ncols) == exact == rank_mod_p_reference(rows, ncols)
         # multiples of P (and P + 1, -P - 1) mixed in: the rank mod P may drop
         mixed = [
             (cols, [v * rng.choice([1, 1, p, -p, p + 1, -p - 1]) for v in vals])
             for cols, vals in rows
         ]
-        got = kernels.rank_mod_p(mixed, ncols)
+        got = kernels.rank_mod_p(packed(mixed), ncols)
         assert got == rank_mod_p_reference(mixed, ncols)
         assert got <= kernels.rank_rows(mixed, ncols)
         stop = rng.randint(0, min(nrows, ncols))
-        assert kernels.rank_mod_p(mixed, ncols, stop) == min(got, stop)
+        assert kernels.rank_mod_p(packed(mixed), ncols, stop) == min(got, stop)
+    # dense rows of residues just below P: the largest slots a reduction can make
+    for _ in range(20):
+        nrows = rng.randint(1, 40)
+        ncols = rng.randint(1, 40)
+        rows = [
+            (list(range(ncols)), [rng.randint(p - 9, p - 1) for _ in range(ncols)])
+            for _ in range(nrows)
+        ]
+        assert kernels.rank_mod_p(packed(rows), ncols) == rank_mod_p_reference(rows, ncols)
+    # a tall times a wide factor: rank k below both sides, so every row after
+    # the k-th must reduce to zero against pivots whose slots were folded
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        nrows = rng.randint(k + 1, 12)
+        ncols = rng.randint(k + 1, 12)
+        left = [[rng.randint(1 - p, p - 1) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randint(1 - p, p - 1) for _ in range(ncols)] for _ in range(k)]
+        rows = [
+            (list(range(ncols)), [sum(x * y for x, y in zip(row, col)) for col in zip(*right)])
+            for row in left
+        ]
+        assert kernels.rank_mod_p(packed(rows), ncols) == rank_mod_p_reference(rows, ncols)
+    with pytest.raises(ValueError):
+        kernels.rank_mod_p([], 1 << 22)
 
 
 def test_rank_below_the_bound_mod_p_falls_back_to_exact(monkeypatch):
     p = kernels.P
-    # det = P: rank 2 over Q, rank 1 mod P
+    # det = P: rank 2 over Q, rank 1 mod P, so a screen against the bound 2
+    # falls short and its caller must eliminate exactly
     rows = [([0, 1], [1, 1]), ([0, 1], [1, 1 + p])]
-    assert kernels.rank_mod_p(rows, 2) == 1
+    assert kernels.rank_mod_p(packed(rows), 2, 2) == 1
     calls = []
     echelon = kernels.echelon
     monkeypatch.setattr(kernels, "echelon", lambda *a: calls.append(a) or echelon(*a))
     assert kernels.rank_rows(rows, 2, stop_at=2) == 2
     assert calls
-    calls.clear()
-    assert kernels.rank_rows([([0, 1], [1, 2]), ([0, 1], [3, 4])], 2, stop_at=2) == 2
-    assert not calls
 
 
 def test_det_small_cases():

@@ -10,6 +10,7 @@ point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -32,6 +33,14 @@ def rat_from_str(s: str) -> Fraction:
             raise ValueError(f"zero denominator: {s!r}")
         return Fraction(num, den)
     return Fraction(int(s))
+
+
+# Parsed coefficients are shared through bounded caches: a certificate or a
+# sample holds few distinct values, but the values come from user input
+# (files, hunt --bound), so nothing is ever sized by them.
+COEFF_CACHE = 1024
+_cached_rat_from_str = lru_cache(maxsize=COEFF_CACHE)(rat_from_str)
+_cached_rat_from_int = lru_cache(maxsize=COEFF_CACHE)(Fraction)
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -73,9 +82,11 @@ def _as_fraction(c) -> Fraction:
 class LaurentPoly:
     """Sparse Laurent polynomial in a single tagged variable.
 
-    Invariants: no zero coefficients are stored and the empty term map is the
-    zero polynomial.  Binary operations require matching variables, except
-    that constants (exponent-0-only polynomials) combine with anything.
+    Invariants: exponents are ints, no zero coefficients are stored and the
+    empty term map is the zero polynomial.  An exponent that is not an int
+    (a bool, a float, a Fraction) raises TypeError.  Binary operations
+    require matching variables, except that constants (exponent-0-only
+    polynomials) combine with anything.
     """
 
     __slots__ = ("variable", "_terms")
@@ -86,11 +97,21 @@ class LaurentPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
+                if type(e) is not int:
+                    raise TypeError(f"exponent must be an integer, got {e!r}")
                 c = _as_fraction(c)
-                if c != 0:
-                    clean[int(e)] = c
+                if c:
+                    clean[e] = c
         self.variable = variable
         self._terms = clean
+
+    @classmethod
+    def _normal(cls, variable: str, terms: dict) -> "LaurentPoly":
+        """Take terms already in normal form, without a check or a copy."""
+        p = object.__new__(cls)
+        p.variable = variable
+        p._terms = terms
+        return p
 
     @classmethod
     def zero(cls, variable: str) -> "LaurentPoly":
@@ -106,15 +127,41 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, variable: str, pairs: Iterable) -> "LaurentPoly":
-        """Build from [exponent, "p/q"] pairs (the serialization format)."""
-        terms = {}
+        """Build from [exponent, "p/q"] pairs (the serialization format).
+
+        Duplicate exponents are summed and zero sums dropped.  A bad exponent
+        or a float coefficient raises TypeError; a malformed coefficient
+        string or an unknown variable raises ValueError.
+        """
+        terms: dict[int, Fraction] = {}
         for e, c in pairs:
-            if not isinstance(e, int) or isinstance(e, bool):
+            if type(e) is not int:
                 raise TypeError(f"exponent must be an integer, got {e!r}")
-            c = rat_from_str(c) if isinstance(c, str) else _as_fraction(c)
-            if c != 0:
-                terms[e] = terms.get(e, Fraction(0)) + c
-        return cls(variable, terms)
+            c = _cached_rat_from_str(c) if isinstance(c, str) else _as_fraction(c)
+            if not c:
+                continue
+            if e in terms:
+                c += terms[e]
+                if not c:
+                    del terms[e]
+                    continue
+            terms[e] = c
+        if variable not in VARIABLES:
+            raise ValueError(f"unknown variable tag {variable!r}")
+        return cls._normal(variable, terms)
+
+    @classmethod
+    def from_ints(cls, variable: str, lo: int, coeffs: Iterable[int]) -> "LaurentPoly":
+        """sum of coeffs[k] * variable**(lo + k) for integer coefficients."""
+        if variable not in VARIABLES:
+            raise ValueError(f"unknown variable tag {variable!r}")
+        terms = {}
+        for e, c in enumerate(coeffs, lo):
+            if type(c) is not int:
+                raise TypeError(f"integer coefficient expected, got {c!r}")
+            if c:
+                terms[e] = _cached_rat_from_int(c)
+        return cls._normal(variable, terms)
 
     def to_pairs(self) -> list:
         return [[e, rat_to_str(c)] for e, c in self.terms()]

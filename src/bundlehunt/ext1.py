@@ -350,6 +350,12 @@ def connecting_rows_mod_p(e: ExtCocycle, m: int):
     return rows
 
 
+def exact_connecting_rank(e: ExtCocycle, m: int) -> int:
+    """Rank of the connecting map at twist m by exact elimination, no screen."""
+    rows, nrows, ncols = _connecting_int_rows(e, m)
+    return kernels.rank_rows(rows, ncols, stop_at=min(nrows, ncols))
+
+
 def connecting_rank(e: ExtCocycle, m: int) -> int:
     """Exact rank of the connecting map at twist m, memoized on the cocycle.
 
@@ -366,8 +372,7 @@ def connecting_rank(e: ExtCocycle, m: int) -> int:
             if kernels.rank_mod_p(packed, ncols, bound) == bound:
                 e._ranks[m] = bound
                 return bound
-        rows, nrows, ncols = _connecting_int_rows(e, m)
-        rank = e._ranks[m] = kernels.rank_rows(rows, ncols, stop_at=min(nrows, ncols))
+        rank = e._ranks[m] = exact_connecting_rank(e, m)
     return rank
 
 

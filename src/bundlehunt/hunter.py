@@ -186,8 +186,8 @@ def sample_eta(
         for a in f1.components:
             for b in f2.components:
                 lo, hi = entry_window(a, b)
-                terms = {e: rng.randint(-bound, bound) for e in range(lo, hi + 1)}
-                entries.append(LaurentPoly("w", terms))
+                draws = [rng.randint(-bound, bound) for _ in range(lo, hi + 1)]
+                entries.append(LaurentPoly.from_ints("w", lo, draws))
         return ExtCocycle(f1, f2, entries, variable="w")
 
     eta0 = one()
@@ -206,8 +206,9 @@ def genericity_check(desc: ConstantBundleDesc) -> GenericityReport:
     lies in Z_(P), so a minor nonzero mod P is nonzero over Q, and rank mod
     P <= rank over Q <= min(rows, cols); a screen that reaches the bound
     proves the rank.  Only one that falls short, or extension data with a
-    denominator divisible by P, gets the exact
-    connecting_rank(pushforward_cocycle(desc, n), m).
+    denominator divisible by P, is eliminated exactly, as
+    exact_connecting_rank(pushforward_cocycle(desc, n), m), with no second
+    screen.
 
     The report is ok when all of them are maximal.  That is what it checks
     and all it proves: it does not certify the maps for other n.  A
@@ -224,7 +225,7 @@ def genericity_check(desc: ConstantBundleDesc) -> GenericityReport:
             return bound
         if n not in pushed:
             pushed[n] = pushforward_cocycle(desc, n)
-        return ext1.connecting_rank(pushed[n], m)
+        return ext1.exact_connecting_rank(pushed[n], m)
 
     plus, minus = [], []
     for m in twist_window(desc.f1, desc.f2):

@@ -2,12 +2,14 @@
 
 Rationals travel as "p/q" strings (or "p" when the denominator is 1);
 Laurent polynomials as [exponent, "p/q"] pairs sorted by exponent; matrices
-and cocycles as nested row-major lists of those.
+and cocycles as nested row-major lists of those.  Every file is written
+2-space indented, byte for byte as json.dumps(data, indent=2) writes it.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import BundleHuntError
@@ -335,8 +337,52 @@ def table_to_text(table: CohomologyTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(x: Any, indent: str) -> str:
+    """x as json.dumps(..., indent=2) writes it, starting on a line with this indent.
+
+    indent is the line break plus the spaces of that line.  A list of
+    scalars is written in one join.
+    """
+    scalar = _SCALARS.get(type(x))
+    if scalar is not None:
+        return scalar(x)
+    inner = indent + "  "
+    sep = "," + inner
+    if type(x) is list or type(x) is tuple:
+        if not x:
+            return "[]"
+        try:
+            body = sep.join([_SCALARS[type(v)](v) for v in x])
+        except KeyError:  # a container in the list
+            body = sep.join([_encode(v, inner) for v in x])
+        return f"[{inner}{body}{indent}]"
+    if type(x) is dict:
+        if not x:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        body = sep.join(
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in x.items()]
+        )
+        return f"{{{inner}{body}{indent}}}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def dump_json(data: Any) -> str:
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+    """json.dumps(data, indent=2) + "\n", byte for byte, for the writers' types.
+
+    Those are dicts with str keys, lists and tuples, str, int, bool and None;
+    any other type raises TypeError.  json.dumps runs its pure-Python encoder
+    whenever indent is set; this emitter writes the same bytes in less time.
+    """
+    return _encode(data, "\n") + "\n"
 
 
 def load_json_file(path: str) -> Any:

@@ -139,6 +139,7 @@ def _battery_worker(case):
     return (str((a, b, g, r)), ok, cert.resamples, time.time() - t0, "")
 
 
+@pytest.mark.slow
 def test_criterion_3_theorem_battery():
     t0 = time.time()
     grid = battery_grid()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bundlehunt import exactalg
 from bundlehunt.errors import DimensionError
 from bundlehunt.exactalg import (
     LaurentMatrix,
@@ -93,6 +94,80 @@ def test_pairs_round_trip():
     p = LaurentPoly("z", {-2: F(1, 3), 5: F(-7)})
     assert LaurentPoly.from_pairs("z", p.to_pairs()) == p
     assert p.to_pairs() == [[-2, "1/3"], [5, "-7"]]
+
+
+@pytest.mark.parametrize("exp", [1.7, F(3, 2), True, False, "1", None])
+def test_non_integer_exponents_are_refused(exp):
+    # the constructor used to truncate: {1.7: 1} was z, {3/2: 2} was 2*z, {True: 5} was 5*z
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        LaurentPoly("z", {exp: 5})
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        LaurentPoly.from_pairs("z", [[exp, "5"]])
+
+
+def test_from_pairs_sums_duplicates_and_drops_zeros():
+    p = LaurentPoly.from_pairs(
+        "z",
+        [[1, "1/3"], [0, "2/4"], [1, "2/3"], [2, "5"], [-1, "0"], [2, "-5"], [3, "1"],
+         [3, "-1"], [3, "7/2"]],
+    )
+    assert p.terms() == [(0, F(1, 2)), (1, F(1)), (3, F(7, 2))]
+    assert LaurentPoly.from_pairs("w", [[4, "2"], [4, "-2"]]).is_zero
+    assert LaurentPoly.from_pairs("z", [[0, F(1, 2)], [0, 1]]) == LaurentPoly.const("z", F(3, 2))
+
+
+@pytest.mark.parametrize(
+    "variable, pairs, error, message",
+    [
+        ("z", [[True, "1"]], TypeError, "exponent must be an integer, got True"),
+        ("z", [[1.0, "1"]], TypeError, "exponent must be an integer, got 1.0"),
+        ("z", [[1, 1.5]], TypeError, "exact coefficient expected, got float"),
+        ("z", [[1, "1/0"]], ValueError, "zero denominator: '1/0'"),
+        ("z", [[1, "1.5"]], ValueError, "not an exact rational: '1.5'"),
+        ("z", [[1, ""]], ValueError, "not an exact rational: ''"),
+        ("x", [[1, "1"]], ValueError, "unknown variable tag 'x'"),
+    ],
+)
+def test_from_pairs_errors(variable, pairs, error, message):
+    with pytest.raises(error) as info:
+        LaurentPoly.from_pairs(variable, pairs)
+    assert str(info.value) == message
+
+
+def test_polynomials_share_no_dict_with_their_input():
+    want = LaurentPoly("z", {1: 2, 3: F(1, 2)})
+    pairs = [[1, "2"], [3, "1/2"]]
+    terms = {1: F(2), 3: F(1, 2)}
+    coeffs = [4, 0, 1]
+    polys = [
+        LaurentPoly.from_pairs("z", pairs),
+        LaurentPoly("z", terms),
+        LaurentPoly.from_ints("z", 1, coeffs) - LaurentPoly("z", {1: 2, 3: F(1, 2)}),
+    ]
+    pairs[0][1] = "7"
+    pairs.append([5, "1"])
+    terms[5] = F(1)
+    coeffs.append(4)
+    assert polys == [want] * 3
+
+
+def test_from_ints_refuses_what_is_not_an_int():
+    for bad in (True, 1.0, F(1)):
+        with pytest.raises(TypeError):
+            LaurentPoly.from_ints("w", 0, [1, bad])
+    with pytest.raises(ValueError):
+        LaurentPoly.from_ints("x", 0, [1])
+
+
+def test_coefficient_caches_are_bounded():
+    # the values come from files and from hunt --bound: no cache may grow with them
+    n = 3 * exactalg.COEFF_CACHE
+    for k in range(n):
+        assert LaurentPoly.from_pairs("z", [[0, f"{k}/7"]]).coeff(0) == F(k, 7)
+    assert LaurentPoly.from_ints("z", 0, range(1, n)).coeff(n - 2) == n - 1
+    for cache in (exactalg._cached_rat_from_str, exactalg._cached_rat_from_int):
+        assert cache.cache_info().maxsize == exactalg.COEFF_CACHE
+        assert cache.cache_info().currsize <= exactalg.COEFF_CACHE
 
 
 # -- rational matrices -------------------------------------------------------

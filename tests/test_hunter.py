@@ -1,6 +1,7 @@
 """The hunt pipeline: normalization, degree solving, sampling, verification."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from bundlehunt.errors import (
 from conftest import random_desc
 from bundlehunt import ext1, hunter, kernels, qbundle, serialize
 from bundlehunt.exactalg import LaurentPoly
-from bundlehunt.ext1 import ExtCocycle, connecting_rank_profile
+from bundlehunt.ext1 import ExtCocycle, connecting_rank_profile, entry_window
 from bundlehunt.hunter import (
     Certificate,
     GenericityReport,
@@ -123,6 +124,38 @@ def test_sample_eta_shapes_and_determinism():
     assert sample_eta(f1, f2, 0, random.Random(1)).is_zero
 
 
+def test_sample_eta_draws_one_randint_per_term_in_order():
+    f1, f2 = SplittingType([-7, -4]), SplittingType([2, 0, 3])
+    rng, ref = random.Random(5), random.Random(5)
+
+    def reference():
+        entries = []
+        for a in f1.components:
+            for b in f2.components:
+                lo, hi = entry_window(a, b)
+                entries.append(
+                    LaurentPoly("w", {e: ref.randint(-7, 7) for e in range(lo, hi + 1)})
+                )
+        return ExtCocycle(f1, f2, entries, "w")
+
+    assert sample_eta(f1, f2, 7, rng) == BigradedEta(reference(), reference())
+    assert rng.getstate() == ref.getstate()
+
+
+def test_sample_eta_builds_nothing_sized_by_the_bound():
+    # hunt --bound is user input: a table of its 2 * bound + 1 values would
+    # take about 20 MB here
+    f1, f2 = SplittingType([-3]), SplittingType([2])
+    tracemalloc.start()
+    try:
+        eta = sample_eta(f1, f2, 10**5, random.Random(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not eta.is_zero
+    assert peak < 200_000
+
+
 def test_genericity_check_zero_eta_fails():
     f1 = SplittingType([-7])
     f2 = SplittingType([2, 2])
@@ -190,18 +223,24 @@ def variants(rng, desc):
 
 
 def test_genericity_check_matches_pushforward_connecting_ranks(rng, monkeypatch):
-    fallbacks = []
-    exact = ext1.connecting_rank
-    monkeypatch.setattr(ext1, "connecting_rank", lambda e, m: fallbacks.append(m) or exact(e, m))
+    fallbacks, screens = [], []
+    exact, screen = ext1.exact_connecting_rank, kernels.rank_mod_p
+    monkeypatch.setattr(
+        ext1, "exact_connecting_rank", lambda e, m: fallbacks.append(m) or exact(e, m)
+    )
+    monkeypatch.setattr(kernels, "rank_mod_p", lambda *a: screens.append(a) or screen(*a))
     seen = {"defects": 0, "maximal positive": 0, "maximal after falling back": 0}
     for _ in range(80):
         desc = random_desc(rng, max_rank=4, comp_lo=-6, comp_hi=3)
         for name, variant in variants(rng, desc).items():
             fallbacks.clear()
+            screens.clear()
             report = genericity_check(variant)
-            fell_back = len(fallbacks)
+            fell_back, screened = len(fallbacks), len(screens)
             assert report == reference_report(variant), name
             records = report.plus + report.minus
+            # each (n, m) is screened once at most: a fallback eliminates at once
+            assert screened == (0 if name == "denominator P" else len(records)), name
             if name == "denominator P":
                 assert fell_back == len(records)
             elif name == "eta1 times P":
